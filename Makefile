@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench benchall benchsmoke benchdiff \
+.PHONY: check fmt vet build test race bench benchall benchsmoke benchdiff benchcheck \
 	servebench servesmoke chaos chaossmoke fuzzsmoke \
 	recall recallsmoke ingest ingestsmoke cluster clustersmoke vetdep \
 	chaose2e chaose2esmoke
 
-check: fmt vet vetdep build test race benchsmoke servesmoke chaossmoke recallsmoke ingestsmoke clustersmoke chaose2esmoke
+check: fmt vet vetdep build test race benchcheck benchsmoke servesmoke chaossmoke recallsmoke ingestsmoke clustersmoke chaose2esmoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -27,19 +27,29 @@ test:
 race:
 	$(GO) test -race ./...
 
+# benchcheck compiles and tests the repository benchmark. bench/ is its own
+# Go module (blobindex/bench, replace blobindex => ../), so nothing above
+# sees it: without this an API change under internal/ or the facade breaks
+# `bash bench/run.sh` silently. -short skips its smoke-scale self-run.
+benchcheck:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
 # bench regenerates the query-path performance artifact and runs the
-# allocation-focused search benchmarks. BENCH_ARTIFACT names the output
-# (the committed snapshot for this PR); BENCH_FLAGS scales the workload,
-# e.g. `make bench BENCH_FLAGS='-images 2000 -queries 64'` for a CI-sized run.
-BENCH_ARTIFACT ?= BENCH_PR7.json
+# allocation-focused search benchmarks. BENCH_ARTIFACT names the output, a
+# scratch file the root .gitignore's BENCH_*.json pattern keeps out of the
+# tree (the committed baseline is BENCH_BASE below); BENCH_FLAGS scales the
+# workload, e.g. `make bench BENCH_FLAGS='-images 2000 -queries 64'` for a
+# CI-sized run.
+BENCH_ARTIFACT ?= BENCH_local.json
 BENCH_FLAGS ?=
 bench:
 	$(GO) test -bench 'KNN|Range|Probe' -benchmem -run=^$$ ./internal/nn/ .
 	$(GO) run ./cmd/blobbench $(BENCH_FLAGS) -experiment bench -benchout $(BENCH_ARTIFACT)
 
-# benchdiff guards the hot path: it compares the committed benchmark
-# artifacts row by row and fails if any (am, op) got more than 20% slower
-# than the baseline snapshot.
+# benchdiff guards the hot path: it compares the artifact `make bench` just
+# wrote against the committed baseline row by row and fails if any (am, op)
+# got more than 20% slower. Run `make bench` first — BENCH_ARTIFACT is never
+# committed.
 BENCH_BASE ?= BENCH_PR2.json
 benchdiff:
 	$(GO) run ./cmd/benchdiff -base $(BENCH_BASE) -new $(BENCH_ARTIFACT) -max-regress 0.20
@@ -75,10 +85,12 @@ chaos:
 chaossmoke:
 	$(GO) run ./cmd/blobbench -images 500 -queries 32 -experiment chaos
 
-# fuzzsmoke gives the pagefile opener's fuzzer a short budget — enough to
-# catch format-validation regressions without slowing the gate.
+# fuzzsmoke gives the pagefile openers' fuzzers (index file, refine sidecar)
+# a short budget each — enough to catch format-validation regressions
+# without slowing the gate. go test takes one fuzz target per run.
 fuzzsmoke:
 	$(GO) test -fuzz=FuzzOpenPaged -fuzztime=10s -run=^$$ ./internal/pagefile
+	$(GO) test -fuzz=FuzzOpenSidecar -fuzztime=10s -run=^$$ ./internal/pagefile
 
 # recall calibrates the filter-and-refine candidate multiplier against
 # brute-force exact ground truth at artifact scale and writes the committed

@@ -60,13 +60,16 @@ func (s PoolStats) Sub(before PoolStats) PoolStats {
 // shrinks back as pins are released.
 //
 // All methods are safe for concurrent use; the hot Pin path takes one
-// mutex and allocates nothing.
+// mutex and allocates nothing, and neither does a steady-state miss: the
+// pool reuses the bookkeeping of the frame it evicts.
 type PinnedPool struct {
 	mu       sync.Mutex
 	capacity int
 	frames   map[PageID]*pframe
-	lru      pframe // sentinel of an intrusive ring of unpinned frames; next = most recently used
+	lru      pframe  // sentinel of an intrusive ring of unpinned frames; next = most recently used
+	free     *pframe // dropped frames' bookkeeping awaiting reuse, chained through next
 	pinned   int
+	onEvict  func(v any)
 
 	hits, misses, evictions               int64
 	prefetched, prefetchHits, prefetchBad int64
@@ -119,6 +122,45 @@ func NewPinnedPool(capacity int) *PinnedPool {
 	}
 	p.lru.prev, p.lru.next = &p.lru, &p.lru
 	return p
+}
+
+// SetEvictHook registers fn to receive the value of every frame the pool
+// drops while it is unpinned — capacity eviction, EvictAll, Remove of an
+// unpinned frame — so the owner can recycle the value's buffers into its next
+// load. Once fn has seen a value nothing reaches it through the pool again; a
+// pinned frame's value is never handed over (Remove of a pinned frame leaves
+// it to its holders). fn runs under the pool's lock: it must be quick and
+// must not call back into the pool. Call before the pool is shared.
+func (p *PinnedPool) SetEvictHook(fn func(v any)) { p.onEvict = fn }
+
+// newFrame returns bookkeeping for a page entering the pool, reusing a
+// dropped frame's when there is one.
+func (p *PinnedPool) newFrame(id PageID, v any) *pframe {
+	fr := p.free
+	if fr == nil {
+		fr = new(pframe)
+	} else {
+		p.free = fr.next
+		fr.next = nil
+	}
+	fr.id, fr.v = id, v
+	p.frames[id] = fr
+	return fr
+}
+
+// dropLocked forgets fr, which the caller has taken off the LRU ring (or
+// which is pinned and being Removed): an unpinned frame's value goes to the
+// evict hook, and the bookkeeping onto the free chain.
+func (p *PinnedPool) dropLocked(fr *pframe) {
+	delete(p.frames, fr.id)
+	if fr.prefetched {
+		p.prefetchBad++
+	}
+	if fr.pins == 0 && p.onEvict != nil {
+		p.onEvict(fr.v)
+	}
+	*fr = pframe{next: p.free}
+	p.free = fr
 }
 
 // Pin returns the resident value for id, pinned, or ok == false on a miss.
@@ -178,8 +220,7 @@ func (p *PinnedPool) Insert(id PageID, v any) any {
 		fr.pins++
 		return fr.v
 	}
-	fr := &pframe{id: id, v: v, pins: 1}
-	p.frames[id] = fr
+	p.newFrame(id, v).pins = 1
 	p.pinned++
 	p.evictOverflowLocked()
 	return v
@@ -198,8 +239,8 @@ func (p *PinnedPool) InsertPrefetch(id PageID, v any) {
 		p.prefetchBad++
 		return
 	}
-	fr := &pframe{id: id, v: v, prefetched: true}
-	p.frames[id] = fr
+	fr := p.newFrame(id, v)
+	fr.prefetched = true
 	p.lruPushFront(fr)
 	p.evictOverflowLocked()
 }
@@ -230,11 +271,8 @@ func (p *PinnedPool) evictOverflowLocked() {
 			return // all pinned: tolerate transient overflow
 		}
 		p.lruRemove(fr)
-		delete(p.frames, fr.id)
 		p.evictions++
-		if fr.prefetched {
-			p.prefetchBad++
-		}
+		p.dropLocked(fr)
 	}
 }
 
@@ -256,14 +294,13 @@ func (p *PinnedPool) Remove(id PageID) {
 		return
 	}
 	if fr.pins > 0 {
+		// Holders still Unpin this id later; Unpin tolerates the missing
+		// frame, so the bookkeeping can be reused at once.
 		p.pinned--
 	} else {
 		p.lruRemove(fr)
 	}
-	if fr.prefetched {
-		p.prefetchBad++
-	}
-	delete(p.frames, fr.id)
+	p.dropLocked(fr)
 }
 
 // EvictAll drops every unpinned frame — a cold restart of the cache, used
@@ -274,10 +311,7 @@ func (p *PinnedPool) EvictAll() {
 	defer p.mu.Unlock()
 	for fr := p.lru.next; fr != &p.lru; fr = p.lru.next {
 		p.lruRemove(fr)
-		delete(p.frames, fr.id)
-		if fr.prefetched {
-			p.prefetchBad++
-		}
+		p.dropLocked(fr)
 	}
 }
 

@@ -350,3 +350,91 @@ func TestPinnedPoolPrefetchWasted(t *testing.T) {
 		t.Fatalf("EvictAll over prefetched frame: %+v, want wasted=2", st)
 	}
 }
+
+// TestPinnedPoolEvictHook pins down which departures hand a value to the
+// evict hook — every one that leaves the value unreachable through the pool
+// while nobody has it pinned — and that a pinned frame's value never is: its
+// holders are still reading it.
+func TestPinnedPoolEvictHook(t *testing.T) {
+	p := NewPinnedPool(2)
+	var got []*int
+	p.SetEvictHook(func(v any) { got = append(got, v.(*int)) })
+	vals := make([]*int, 8)
+	load := func(id PageID) {
+		vals[id] = new(int)
+		p.Insert(id, vals[id])
+	}
+	expect := func(what string, ids ...PageID) {
+		t.Helper()
+		if len(got) != len(ids) {
+			t.Fatalf("%s: hook saw %d values, want %d", what, len(got), len(ids))
+		}
+		for i, id := range ids {
+			if got[i] != vals[id] {
+				t.Fatalf("%s: hook value %d is not page %d's", what, i, id)
+			}
+		}
+		got = got[:0]
+	}
+
+	load(1)
+	load(2)
+	load(3) // over capacity, but all three are pinned
+	expect("all pinned")
+	p.Unpin(1) // the overflow shrinks as soon as a frame is evictable
+	expect("capacity eviction on Unpin", 1)
+	p.Unpin(2)
+	load(4) // evicts 2, the only unpinned frame
+	expect("capacity eviction on Insert", 2)
+
+	p.Remove(3) // still pinned: its holder keeps the value
+	expect("Remove of a pinned frame")
+	p.Unpin(3) // tolerated: the frame is gone
+	p.Unpin(4)
+	p.Remove(4)
+	expect("Remove of an unpinned frame", 4)
+
+	load(5)
+	load(6)
+	p.Unpin(5)
+	p.EvictAll() // drops 5, keeps the pinned 6
+	expect("EvictAll", 5)
+	if _, ok := p.Pin(6); !ok {
+		t.Fatal("EvictAll dropped a pinned frame")
+	}
+
+	// A value that lost the Insert race never entered the pool: it is the
+	// caller's to reuse, the hook is not told.
+	loser := new(int)
+	if v := p.Insert(6, loser); v.(*int) != vals[6] {
+		t.Fatal("Insert over a resident page did not return the resident value")
+	}
+	expect("lost Insert race")
+}
+
+// TestPinnedPoolMissAllocatesNothing checks the steady state of a pool
+// cycling through more pages than it holds: each miss reuses the bookkeeping
+// of the frame it evicts.
+func TestPinnedPoolMissAllocatesNothing(t *testing.T) {
+	p := NewPinnedPool(4)
+	vals := make([]any, 16)
+	for i := range vals {
+		vals[i] = new(int)
+	}
+	id := 0
+	miss := func() {
+		pid := PageID(id % len(vals))
+		id++
+		if _, ok := p.Pin(pid); ok {
+			t.Fatal("a 16-page cycle through 4 frames should never hit")
+		}
+		p.Insert(pid, vals[pid])
+		p.Unpin(pid)
+	}
+	for i := 0; i < 64; i++ {
+		miss()
+	}
+	if avg := testing.AllocsPerRun(1000, miss); avg != 0 {
+		t.Errorf("steady-state miss: %.2f allocs/op, want 0", avg)
+	}
+}

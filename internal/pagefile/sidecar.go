@@ -2,6 +2,7 @@ package pagefile
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,23 +12,33 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"blobindex/internal/faultio"
+	"blobindex/internal/geom"
+	"blobindex/internal/gist"
 	"blobindex/internal/page"
+	"blobindex/internal/str"
 )
 
 // Sidecar format: the full-histogram side store behind the filter-and-refine
 // search tier. The 5-D index file answers the filter stage; the refine stage
 // needs every candidate's full 218-d feature vector, which would bloat leaf
 // pages ~44× if stored inline. Instead the full vectors live in a sidecar
-// pagefile keyed by RID, demand-paged through the same PinnedPool + CRC +
-// retry discipline as node pages, so a refined query faults in only the few
-// pages its candidates live on.
+// pagefile, demand-paged through the same PinnedPool + CRC + retry
+// discipline as node pages.
 //
-// Layout, sidecar format version 1 (little endian):
+// A refined query's candidates are a neighbourhood in index space, so the
+// sidecar is clustered the way the index is: records are laid out in the STR
+// tile order bulk load gives the tree's leaves, and the candidates of one
+// query land on a few runs of adjacent pages instead of one page each. A
+// record's position in that order is its slot; slot s is record s%perPage of
+// data page s/perPage, and every data page but the last is full.
+//
+// Layout, sidecar format version 2 (little endian):
 //
 //	header page:  magic "BLOBSIDE", version byte, pageSize, fullDim,
 //	              indexDim, perPage, numDataPages, metaPages, count,
@@ -35,19 +46,20 @@ import (
 //	              zeroed)
 //	meta pages:   one contiguous blob, CRC-checked as a unit: the projection
 //	              mean (fullDim float64s), the projection components
-//	              (indexDim rows × fullDim float64s), and the page directory
-//	              (numDataPages int64s: the first RID on each data page)
+//	              (indexDim rows × fullDim float64s), and the RID directory
+//	              (count int64s: the RID stored in each slot, slot order)
 //	data pages:   numRecords uint16, zero uint16, page CRC32 (bytes 4:8,
 //	              computed with those bytes zeroed); then records at byte 8:
-//	              RID int64 + feature (fullDim float64s), sorted by RID
+//	              RID int64 + feature (fullDim float64s), in slot order
 //
 // Storing the SVD projection in the sidecar makes a refined request
 // self-contained: clients send the full-dimensionality query, the store
 // projects it for the filter stage, and the refine stage scores the same
-// vector against stored features — exactly the Blobworld pipeline shape.
+// vector against stored features — exactly the Blobworld pipeline shape. The
+// same projection is what SaveSidecar clusters by.
 const (
 	sideMagic   = "BLOBSIDE"
-	sideVersion = 1
+	sideVersion = 2
 )
 
 // sideHeaderFixed is the meaningful prefix of the sidecar header page.
@@ -76,13 +88,62 @@ func SidecarRecordsPerPage(pageSize, fullDim int) int {
 	return (pageSize - 8) / (8 + fullDim*8)
 }
 
+// project maps a full-dimensionality vector into index space, appending to
+// dst: comp is the row-major indexDim×len(mean) component matrix. The
+// arithmetic matches svd.PCA.Project term for term.
+func project(mean, comp, full, dst []float64) []float64 {
+	for len(comp) > 0 {
+		row := comp[:len(mean)]
+		comp = comp[len(mean):]
+		var acc float64
+		for j := range row {
+			acc += row[j] * (full[j] - mean[j])
+		}
+		dst = append(dst, acc)
+	}
+	return dst
+}
+
+// sidecarOrder returns the input positions of the records in slot order: the
+// STR tile order of their projections at the leaf capacity of an index over
+// the same points, starting from RID order so the layout does not depend on
+// the order the caller listed the records in. Duplicate RIDs, which would
+// make lookups ambiguous, are rejected.
+func sidecarOrder(pageSize int, mean, comp []float64, rids []int64, feats [][]float64) ([]int, error) {
+	order := make([]int, len(rids))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(rids[a], rids[b]) })
+	for i := 1; i < len(order); i++ {
+		if rids[order[i]] == rids[order[i-1]] {
+			return nil, fmt.Errorf("pagefile: duplicate rid %d in sidecar", rids[order[i]])
+		}
+	}
+	indexDim := len(comp) / len(mean)
+	if indexDim == 0 {
+		return order, nil // no projection to cluster by
+	}
+	keys := make([]float64, 0, len(order)*indexDim)
+	pts := make([]gist.Point, len(order))
+	for i, oi := range order {
+		keys = project(mean, comp, feats[oi], keys)
+		pts[i] = gist.Point{Key: geom.Vector(keys[i*indexDim : (i+1)*indexDim]), RID: int64(oi)}
+	}
+	str.Order(pts, page.LeafCapacity(pageSize, indexDim))
+	for i, p := range pts {
+		order[i] = int(p.RID)
+	}
+	return order, nil
+}
+
 // SaveSidecar writes the full-feature side store: one record per (rid,
 // feature) pair plus the dimensionality-reduction projection (mean and
 // row-major components) the filter stage uses to map full queries into index
-// space. rids and feats are parallel; records are sorted by RID internally,
-// so any order is accepted (RIDs must be unique — lookups binary-search).
-// Like Save, the write is crash-atomic: temp file, fsync, rename, directory
-// sync.
+// space. rids and feats are parallel and may come in any order (RIDs must be
+// unique); records are written clustered by their projection, see
+// sidecarOrder. Like Save, the write is crash-atomic: temp file, fsync,
+// rename, directory sync.
 func SaveSidecar(path string, pageSize int, mean []float64, components [][]float64, rids []int64, feats [][]float64) error {
 	if pageSize < 256 {
 		return fmt.Errorf("pagefile: sidecar page size %d too small", pageSize)
@@ -93,6 +154,9 @@ func SaveSidecar(path string, pageSize int, mean []float64, components [][]float
 	if len(feats) == 0 {
 		return fmt.Errorf("pagefile: empty sidecar")
 	}
+	if len(feats) > math.MaxUint32 {
+		return fmt.Errorf("pagefile: %d records exceed the sidecar's 32-bit slots", len(feats))
+	}
 	fullDim := len(mean)
 	for i, f := range feats {
 		if len(f) != fullDim {
@@ -100,48 +164,33 @@ func SaveSidecar(path string, pageSize int, mean []float64, components [][]float
 		}
 	}
 	indexDim := len(components)
+	comp := make([]float64, 0, indexDim*fullDim)
 	for i, c := range components {
 		if len(c) != fullDim {
 			return fmt.Errorf("pagefile: component %d has dim %d, want %d", i, len(c), fullDim)
 		}
+		comp = append(comp, c...)
 	}
 	perPage := SidecarRecordsPerPage(pageSize, fullDim)
 	if perPage < 1 {
 		return fmt.Errorf("pagefile: page size %d cannot hold one %d-d record", pageSize, fullDim)
 	}
-
-	// Sort (rid, feature) pairs by RID so the page directory supports binary
-	// search; reject duplicates, which would make lookups ambiguous.
-	order := make([]int, len(rids))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return rids[order[a]] < rids[order[b]] })
-	for i := 1; i < len(order); i++ {
-		if rids[order[i]] == rids[order[i-1]] {
-			return fmt.Errorf("pagefile: duplicate rid %d in sidecar", rids[order[i]])
-		}
+	order, err := sidecarOrder(pageSize, mean, comp, rids, feats)
+	if err != nil {
+		return err
 	}
 	dataPages := (len(order) + perPage - 1) / perPage
 
-	// Meta blob: mean + components + directory.
-	meta := make([]byte, 0, 8*(fullDim+indexDim*fullDim+dataPages))
-	var w8 [8]byte
-	putF := func(v float64) {
-		binary.LittleEndian.PutUint64(w8[:], math.Float64bits(v))
-		meta = append(meta, w8[:]...)
-	}
+	// Meta blob: mean + components + RID directory.
+	meta := make([]byte, 0, 8*(fullDim+len(comp)+len(order)))
 	for _, v := range mean {
-		putF(v)
+		meta = binary.LittleEndian.AppendUint64(meta, math.Float64bits(v))
 	}
-	for _, row := range components {
-		for _, v := range row {
-			putF(v)
-		}
+	for _, v := range comp {
+		meta = binary.LittleEndian.AppendUint64(meta, math.Float64bits(v))
 	}
-	for p := 0; p < dataPages; p++ {
-		binary.LittleEndian.PutUint64(w8[:], uint64(rids[order[p*perPage]]))
-		meta = append(meta, w8[:]...)
+	for _, oi := range order {
+		meta = binary.LittleEndian.AppendUint64(meta, uint64(rids[oi]))
 	}
 	metaPages := (len(meta) + pageSize - 1) / pageSize
 	metaCRC := crc32.ChecksumIEEE(meta)
@@ -236,24 +285,37 @@ func SaveSidecar(path string, pageSize int, mean []float64, components [][]float
 // through a pinning LRU pool with the node-page retry discipline: transient
 // read failures retry with jittered exponential backoff, checksum mismatches
 // fail immediately. Safe for any number of concurrent readers.
+//
+// A page miss allocates nothing in the steady state: the frame the pool
+// evicts to make room comes back through the pool's evict hook and is decoded
+// into by a later miss. A frame is therefore in exactly one place at a time —
+// resident in the pool (readable while pinned), on the free list, or private
+// to the one load filling it — and only a successful load moves it into the
+// pool.
 type SideStore struct {
 	f    faultio.File
 	h    sideHeader
 	pool *page.PinnedPool
 
-	mean []float64 // projection mean, length fullDim
-	comp []float64 // projection components, row-major indexDim×fullDim
-	dir  []int64   // first RID per data page, ascending
+	mean   []float64        // projection mean, length fullDim
+	comp   []float64        // projection components, row-major indexDim×fullDim
+	rids   []int64          // the RID directory: rids[slot]
+	slotOf map[int64]uint32 // its inverse
+
+	freeMu sync.Mutex
+	free   *sideFrame // frames awaiting reuse, chained through next
+	bufs   sync.Pool  // *[]byte page read buffers, one per Visit in flight
 
 	retries atomic.Int64
 	gaveUp  atomic.Int64
 	closed  atomic.Bool
 }
 
-// sidePage is one decoded, resident data page.
-type sidePage struct {
-	rids []int64
-	flat []float64 // len(rids)×fullDim, record i at flat[i*fullDim:]
+// sideFrame holds one decoded data page: record r's feature is
+// flat[r*fullDim:(r+1)*fullDim]. flat always has room for a full page.
+type sideFrame struct {
+	flat []float64
+	next *sideFrame // free-list link
 }
 
 // OpenSidecar opens a side store with a buffer pool of poolPages frames.
@@ -291,7 +353,7 @@ func openSidecar(f *os.File, poolPages int) (*SideStore, error) {
 		return nil, fmt.Errorf("%w: not a sidecar", ErrBadMagic)
 	}
 	if v := fixed[len(sideMagic)]; v != sideVersion {
-		return nil, fmt.Errorf("%w: sidecar version %d, want %d", ErrVersion, v, sideVersion)
+		return nil, fmt.Errorf("%w: sidecar version %d, want %d (regenerate with `datagen -side`)", ErrVersion, v, sideVersion)
 	}
 	var h sideHeader
 	off := len(sideMagic) + 1
@@ -306,16 +368,29 @@ func openSidecar(f *os.File, poolPages int) (*SideStore, error) {
 	h.perPage = get32()
 	h.dataPages = get32()
 	h.metaPages = get32()
-	h.count = int(binary.LittleEndian.Uint64(fixed[off:]))
+	count := binary.LittleEndian.Uint64(fixed[off:])
 	off += 8
 	h.metaCRC = binary.LittleEndian.Uint32(fixed[off:])
 	off += 4
 	storedCRC := binary.LittleEndian.Uint32(fixed[off:])
-	if h.pageSize < 256 || h.fullDim < 1 || h.indexDim < 0 || h.perPage < 1 ||
-		h.dataPages < 1 || h.count < 1 || h.count > h.dataPages*h.perPage {
-		return nil, fmt.Errorf("pagefile: corrupt sidecar header (page=%d dim=%d/%d per=%d pages=%d count=%d)",
-			h.pageSize, h.fullDim, h.indexDim, h.perPage, h.dataPages, h.count)
+	// The shape fields must agree with each other, not merely be in range:
+	// every later bound (slot → page, record → offset, meta length) is
+	// derived from them. The sizes are checked against the file before
+	// anything is allocated from them (the page-size cap keeps that product
+	// from overflowing).
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
+	if h.pageSize < 256 || h.pageSize > 1<<24 || h.fullDim < 1 || h.perPage < 1 ||
+		h.perPage != SidecarRecordsPerPage(h.pageSize, h.fullDim) ||
+		count < 1 || count > math.MaxUint32 ||
+		uint64(h.dataPages) != (count+uint64(h.perPage)-1)/uint64(h.perPage) ||
+		int64(1+h.metaPages+h.dataPages)*int64(h.pageSize) > st.Size() {
+		return nil, fmt.Errorf("pagefile: corrupt sidecar header (page=%d dim=%d/%d per=%d pages=%d+%d count=%d size=%dB)",
+			h.pageSize, h.fullDim, h.indexDim, h.perPage, h.metaPages, h.dataPages, count, st.Size())
+	}
+	h.count = int(count)
 	rest := make([]byte, h.pageSize-sideHeaderFixed)
 	if _, err := io.ReadFull(r, rest); err != nil {
 		return nil, fmt.Errorf("pagefile: short sidecar header page: %w", err)
@@ -327,9 +402,9 @@ func openSidecar(f *os.File, poolPages int) (*SideStore, error) {
 		return nil, fmt.Errorf("%w: sidecar header", ErrChecksum)
 	}
 
-	// Meta section: projection + directory, verified as one blob.
-	metaLen := 8 * (h.fullDim + h.indexDim*h.fullDim + h.dataPages)
-	if metaLen > h.metaPages*h.pageSize {
+	// Meta section: projection + RID directory, verified as one blob.
+	metaLen := 8 * (int64(h.fullDim) + int64(h.indexDim)*int64(h.fullDim) + int64(h.count))
+	if metaLen > int64(h.metaPages)*int64(h.pageSize) {
 		return nil, fmt.Errorf("pagefile: sidecar meta (%dB) overflows %d meta pages", metaLen, h.metaPages)
 	}
 	meta := make([]byte, metaLen)
@@ -340,12 +415,13 @@ func openSidecar(f *os.File, poolPages int) (*SideStore, error) {
 		return nil, fmt.Errorf("%w: sidecar meta", ErrChecksum)
 	}
 	s := &SideStore{
-		f:    f,
-		h:    h,
-		pool: page.NewPinnedPool(poolPages),
-		mean: make([]float64, h.fullDim),
-		comp: make([]float64, h.indexDim*h.fullDim),
-		dir:  make([]int64, h.dataPages),
+		f:      f,
+		h:      h,
+		pool:   page.NewPinnedPool(poolPages),
+		mean:   make([]float64, h.fullDim),
+		comp:   make([]float64, h.indexDim*h.fullDim),
+		rids:   make([]int64, h.count),
+		slotOf: make(map[int64]uint32, h.count),
 	}
 	pos := 0
 	for i := range s.mean {
@@ -356,12 +432,19 @@ func openSidecar(f *os.File, poolPages int) (*SideStore, error) {
 		s.comp[i] = math.Float64frombits(binary.LittleEndian.Uint64(meta[pos:]))
 		pos += 8
 	}
-	for i := range s.dir {
-		s.dir[i] = int64(binary.LittleEndian.Uint64(meta[pos:]))
+	for slot := range s.rids {
+		rid := int64(binary.LittleEndian.Uint64(meta[pos:]))
 		pos += 8
-		if i > 0 && s.dir[i] <= s.dir[i-1] {
-			return nil, fmt.Errorf("pagefile: sidecar directory not ascending at page %d", i)
+		if prev, dup := s.slotOf[rid]; dup {
+			return nil, fmt.Errorf("pagefile: sidecar directory lists rid %d in slots %d and %d", rid, prev, slot)
 		}
+		s.rids[slot] = rid
+		s.slotOf[rid] = uint32(slot)
+	}
+	s.pool.SetEvictHook(func(v any) { s.recycle(v.(*sideFrame)) })
+	s.bufs.New = func() any {
+		b := make([]byte, h.pageSize)
+		return &b
 	}
 	return s, nil
 }
@@ -381,59 +464,131 @@ func (s *SideStore) Len() int { return s.h.count }
 // arithmetic matches svd.PCA.Project term for term, so projecting a stored
 // feature reproduces its indexed key bit for bit.
 func (s *SideStore) Project(full []float64, dst []float64) []float64 {
-	for i := 0; i < s.h.indexDim; i++ {
-		row := s.comp[i*s.h.fullDim : (i+1)*s.h.fullDim]
-		var acc float64
-		for j := range row {
-			acc += row[j] * (full[j] - s.mean[j])
+	return project(s.mean, s.comp, full, dst)
+}
+
+// Slot returns where rid's record lives in the file's clustered order; ok is
+// false for a RID the store does not hold. Slots of records close in index
+// space are close, and slots that differ by less than a page's worth of
+// records share a page — sort a query's slots before visiting them.
+func (s *SideStore) Slot(rid int64) (slot uint32, ok bool) {
+	slot, ok = s.slotOf[rid]
+	return slot, ok
+}
+
+// Visit calls fn(i, feat) for every slots[i], in order, with feat the
+// record's fullDim coordinates. feat is a view into the resident page frame,
+// valid only until fn returns: score it or copy it, do not keep it. Each run
+// of consecutive slots on one page costs one pin (a pool hit, or a miss that
+// reads the page with the retry discipline of node pages), so over ascending
+// slots every distinct page is pinned exactly once; pages is the number of
+// pins made. On error the visit stops; fn has run for the slots before the
+// failing page.
+func (s *SideStore) Visit(slots []uint32, fn func(i int, feat []float64)) (pages int, err error) {
+	buf := s.bufs.Get().(*[]byte)
+	defer s.bufs.Put(buf)
+	for i := 0; i < len(slots); pages++ {
+		if int64(slots[i]) >= int64(s.h.count) {
+			return pages, fmt.Errorf("pagefile: sidecar slot %d out of range [0,%d)", slots[i], s.h.count)
 		}
-		dst = append(dst, acc)
+		if i, err = s.visitPage(slots, i, *buf, fn); err != nil {
+			return pages, err
+		}
 	}
-	return dst
+	return pages, nil
+}
+
+// visitPage pins the page of slots[i], runs fn over the run of slots starting
+// at i that live on it, and returns the index after the run.
+func (s *SideStore) visitPage(slots []uint32, i int, buf []byte, fn func(i int, feat []float64)) (int, error) {
+	perPage, dim := uint32(s.h.perPage), s.h.fullDim
+	id := page.PageID(slots[i] / perPage)
+	fr, err := s.pin(id, buf)
+	if err != nil {
+		return i, err
+	}
+	defer s.pool.Unpin(id)
+	// The last page may be short: its run also ends at the first slot past
+	// the records, which Visit then reports.
+	first, n := uint32(id)*perPage, min(perPage, uint32(s.h.count)-uint32(id)*perPage)
+	for ; i < len(slots) && slots[i]-first < n; i++ {
+		r := int(slots[i] - first)
+		fn(i, fr.flat[r*dim:(r+1)*dim:(r+1)*dim])
+	}
+	return i, nil
 }
 
 // Feature reads the full feature vector of rid, appending its fullDim
 // coordinates to dst (pass a reused dst[:0] for an allocation-free steady
-// state). Misses fault the record's page in through the pool with the retry
-// discipline of node pages; an unknown rid returns ErrRIDNotFound.
+// state): a one-slot Visit that copies the record out. An unknown rid returns
+// ErrRIDNotFound.
 func (s *SideStore) Feature(rid int64, dst []float64) ([]float64, error) {
-	// Last directory entry with first RID ≤ rid.
-	pi := sort.Search(len(s.dir), func(i int) bool { return s.dir[i] > rid }) - 1
-	if pi < 0 {
+	slot, ok := s.Slot(rid)
+	if !ok {
 		return dst, fmt.Errorf("%w: %d", ErrRIDNotFound, rid)
 	}
-	id := page.PageID(pi)
-	var sp *sidePage
-	if v, ok := s.pool.Pin(id); ok {
-		sp = v.(*sidePage)
-	} else {
-		loaded, err := s.readSidePageRetry(id)
-		if err != nil {
-			return dst, err
-		}
-		sp = s.pool.Insert(id, loaded).(*sidePage)
-	}
-	defer s.pool.Unpin(id)
-	ri := sort.Search(len(sp.rids), func(i int) bool { return sp.rids[i] >= rid })
-	if ri >= len(sp.rids) || sp.rids[ri] != rid {
-		return dst, fmt.Errorf("%w: %d", ErrRIDNotFound, rid)
-	}
-	return append(dst, sp.flat[ri*s.h.fullDim:(ri+1)*s.h.fullDim]...), nil
+	one := [1]uint32{slot}
+	_, err := s.Visit(one[:], func(_ int, feat []float64) { dst = append(dst, feat...) })
+	return dst, err
 }
 
-// readSidePageRetry reads a data page, retrying transient failures with the
-// same jittered backoff budget as node-page pins.
-func (s *SideStore) readSidePageRetry(id page.PageID) (*sidePage, error) {
+// pin returns data page id's frame, pinned: the resident one, or on a miss a
+// recycled frame filled from the file through buf and registered with the
+// pool. A frame whose read failed goes back to the free list, never into the
+// pool.
+func (s *SideStore) pin(id page.PageID, buf []byte) (*sideFrame, error) {
+	if v, ok := s.pool.Pin(id); ok {
+		return v.(*sideFrame), nil
+	}
+	fr := s.takeFrame()
+	if err := s.readSidePageRetry(id, buf, fr); err != nil {
+		s.recycle(fr)
+		return nil, err
+	}
+	got := s.pool.Insert(id, fr).(*sideFrame)
+	if got != fr {
+		s.recycle(fr) // a concurrent loader won the race; its frame is the pinned one
+	}
+	return got, nil
+}
+
+// takeFrame returns a frame no one else references: a recycled one when the
+// free list has any, else a new one.
+func (s *SideStore) takeFrame() *sideFrame {
+	s.freeMu.Lock()
+	fr := s.free
+	if fr != nil {
+		s.free, fr.next = fr.next, nil
+	}
+	s.freeMu.Unlock()
+	if fr == nil {
+		fr = &sideFrame{flat: make([]float64, s.h.perPage*s.h.fullDim)}
+	}
+	return fr
+}
+
+// recycle puts a frame nothing references any more on the free list. It is
+// the pool's evict hook, so it runs under the pool's lock and takes only its
+// own.
+func (s *SideStore) recycle(fr *sideFrame) {
+	s.freeMu.Lock()
+	fr.next, s.free = s.free, fr
+	s.freeMu.Unlock()
+}
+
+// readSidePageRetry reads a data page into fr, retrying transient failures
+// with the same jittered backoff budget as node-page pins.
+func (s *SideStore) readSidePageRetry(id page.PageID, buf []byte, fr *sideFrame) error {
 	for attempt := 0; ; attempt++ {
-		sp, err := s.readSidePage(id)
+		err := s.readSidePage(id, buf, fr)
 		if err == nil {
-			return sp, nil
+			return nil
 		}
 		if !errors.Is(err, ErrTransient) || attempt >= pinAttempts-1 {
 			if errors.Is(err, ErrTransient) {
 				s.gaveUp.Add(1)
 			}
-			return nil, err
+			return err
 		}
 		s.retries.Add(1)
 		delay := float64(pinRetryBase<<attempt) * (0.5 + rand.Float64())
@@ -441,39 +596,43 @@ func (s *SideStore) readSidePageRetry(id page.PageID) (*sidePage, error) {
 	}
 }
 
-// readSidePage reads and decodes one data page, verifying its CRC.
-func (s *SideStore) readSidePage(id page.PageID) (*sidePage, error) {
-	buf := make([]byte, s.h.pageSize)
+// readSidePage reads one data page into buf, verifies its CRC, its record
+// count and that it holds the records the directory says it does, and
+// decodes the features into fr.
+func (s *SideStore) readSidePage(id page.PageID, buf []byte, fr *sideFrame) error {
 	off := int64(1+s.h.metaPages+int(id)) * int64(s.h.pageSize)
 	if _, err := s.f.ReadAt(buf, off); err != nil {
 		if transientRead(err) {
-			return nil, fmt.Errorf("pagefile: read sidecar page %d: %w (%w)", id, err, ErrTransient)
+			return fmt.Errorf("pagefile: read sidecar page %d: %w (%w)", id, err, ErrTransient)
 		}
-		return nil, fmt.Errorf("pagefile: read sidecar page %d: %w", id, err)
+		return fmt.Errorf("pagefile: read sidecar page %d: %w", id, err)
 	}
 	storedCRC := binary.LittleEndian.Uint32(buf[4:])
 	binary.LittleEndian.PutUint32(buf[4:], 0)
 	if crc32.ChecksumIEEE(buf) != storedCRC {
-		return nil, fmt.Errorf("%w: sidecar page %d", ErrChecksum, id)
+		return fmt.Errorf("%w: sidecar page %d", ErrChecksum, id)
 	}
-	n := int(binary.LittleEndian.Uint16(buf[0:]))
-	if n < 1 || n > s.h.perPage || 8+n*(8+s.h.fullDim*8) > s.h.pageSize {
-		return nil, fmt.Errorf("pagefile: sidecar page %d holds %d records", id, n)
+	want := s.rids[int(id)*s.h.perPage:]
+	if len(want) > s.h.perPage {
+		want = want[:s.h.perPage]
 	}
-	sp := &sidePage{
-		rids: make([]int64, n),
-		flat: make([]float64, n*s.h.fullDim),
+	if n := int(binary.LittleEndian.Uint16(buf[0:])); n != len(want) {
+		return fmt.Errorf("pagefile: sidecar page %d holds %d records, directory says %d", id, n, len(want))
 	}
-	pos := 8
-	for i := 0; i < n; i++ {
-		sp.rids[i] = int64(binary.LittleEndian.Uint64(buf[pos:]))
-		pos += 8
-		for d := 0; d < s.h.fullDim; d++ {
-			sp.flat[i*s.h.fullDim+d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))
-			pos += 8
+	dim := s.h.fullDim
+	rec := buf[8:]
+	for i, rid := range want {
+		if got := int64(binary.LittleEndian.Uint64(rec)); got != rid {
+			return fmt.Errorf("pagefile: sidecar page %d record %d is rid %d, directory says %d", id, i, got, rid)
 		}
+		src := rec[8 : 8+8*dim]
+		dst := fr.flat[i*dim : (i+1)*dim]
+		for d := range dst {
+			dst[d] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*d:]))
+		}
+		rec = rec[8+8*dim:]
 	}
-	return sp, nil
+	return nil
 }
 
 // PoolStats reports the side store's buffer traffic, with the retry counters

@@ -156,6 +156,11 @@ func TestServeRefineEndToEnd(t *testing.T) {
 	if st.RefineBuffer.Hits+st.RefineBuffer.Misses == 0 {
 		t.Error("refine_buffer recorded no page traffic after refined searches")
 	}
+	// Each distinct sidecar page of a refined search is pinned once, so the
+	// stage's page counter and the buffer's pin counter are the same number.
+	if pins := st.RefineBuffer.Hits + st.RefineBuffer.Misses; refine.Pages < 2 || refine.Pages != pins || filter.Pages != 0 {
+		t.Errorf("refine stage pages = %d (filter %d), refine_buffer pins = %d", refine.Pages, filter.Pages, pins)
+	}
 }
 
 func TestServeRefineValidation(t *testing.T) {

@@ -139,6 +139,7 @@ type Server struct {
 	refineHist       *histogram
 	filterCandidates atomic.Int64
 	refineCandidates atomic.Int64
+	refinePages      atomic.Int64
 
 	adm     *admission
 	cache   *resultCache
@@ -438,6 +439,7 @@ func (s *Server) recordStages(resp blobindex.SearchResponse) {
 	if resp.Refined {
 		s.refineHist.observe(resp.Refine.Duration, false)
 		s.refineCandidates.Add(int64(resp.Refine.Candidates))
+		s.refinePages.Add(int64(resp.Refine.Pages))
 	}
 }
 
@@ -804,10 +806,13 @@ type SegmentsStats struct {
 // traversals ran the stage, the cumulative candidates it produced, and its
 // latency distribution. Filter covers every traversal (candidate generation
 // in index space); Refine covers only refined searches (full-distance
-// re-ranking).
+// re-ranking), and also counts the distinct sidecar pages those searches
+// pinned: Pages ÷ Searches is a refined query's page set, Pages ÷ Candidates
+// how well the sidecar's layout clusters it.
 type StageInfo struct {
 	Searches   int64          `json:"searches"`
 	Candidates int64          `json:"candidates"`
+	Pages      int64          `json:"pages,omitempty"`
 	Latency    LatencySummary `json:"latency"`
 }
 
@@ -907,7 +912,7 @@ func (s *Server) Stats() Stats {
 	refine := s.refineHist.summary()
 	st.Stages = map[string]StageInfo{
 		"filter": {Searches: filter.Count, Candidates: s.filterCandidates.Load(), Latency: filter},
-		"refine": {Searches: refine.Count, Candidates: s.refineCandidates.Load(), Latency: refine},
+		"refine": {Searches: refine.Count, Candidates: s.refineCandidates.Load(), Pages: s.refinePages.Load(), Latency: refine},
 	}
 	if rs, ok := s.idx.RefineStats(); ok {
 		st.RefineBuffer = bufferInfo(rs)

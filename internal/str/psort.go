@@ -1,7 +1,7 @@
 package str
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"blobindex/internal/gist"
@@ -15,7 +15,7 @@ import (
 
 const (
 	// sortSerialCutoff is the subproblem size below which the parallel
-	// stable sort falls back to sort.SliceStable.
+	// stable sort falls back to slices.SortStableFunc.
 	sortSerialCutoff = 4096
 	// tileParallelCutoff is the slab size below which the tiling recursion
 	// stops spawning goroutines and runs inline.
@@ -50,11 +50,17 @@ func (l limiter) release() { <-l }
 
 // sortByDim stably sorts pts by coordinate d. scratch must be a parallel
 // slice of the same length; it is used as the merge buffer. With a nil
-// limiter (or small inputs) this is exactly sort.SliceStable.
+// limiter (or small inputs) this is exactly slices.SortStableFunc.
 func sortByDim(pts, scratch []gist.Point, d int, lim limiter) {
 	if len(pts) <= sortSerialCutoff || lim == nil {
-		sort.SliceStable(pts, func(i, j int) bool {
-			return pts[i].Key[d] < pts[j].Key[d]
+		slices.SortStableFunc(pts, func(a, b gist.Point) int {
+			switch {
+			case a.Key[d] < b.Key[d]:
+				return -1
+			case b.Key[d] < a.Key[d]:
+				return 1
+			}
+			return 0
 		})
 		return
 	}

@@ -122,3 +122,51 @@ func TestGoldenSearchRequestDigest(t *testing.T) {
 		t.Fatalf("Search(SearchRequest) digest drifted from the pre-refactor recording:\n got  %s\n want %s", got, goldenSearchDigest)
 	}
 }
+
+// goldenRefineDigest is the SHA-256 over (RID, Float64bits(Dist2)) of every
+// neighbor of a seeded refined workload — k-NN and range, through a pool far
+// smaller than the sidecar — recorded on sidecar format v1 (RID-ordered
+// pages, one Feature copy per candidate). Refined answers are a function of
+// the stored features and QFDist2 alone, so no sidecar layout or read-path
+// change may move it.
+const goldenRefineDigest = "c4f261074c02cf8e69683269b3559d6dc28c4f0719b8296ddc8099fb2bf3acc5"
+
+func TestGoldenRefineDigest(t *testing.T) {
+	const (
+		n        = 2000
+		fullDim  = 48
+		indexDim = 5
+	)
+	ix, feats := refineFixture(t, n, fullDim, indexDim)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(20260925))
+	h := sha256.New()
+	wr := func(vals ...uint64) {
+		var buf [8]byte
+		for _, v := range vals {
+			binary.LittleEndian.PutUint64(buf[:], v)
+			h.Write(buf[:])
+		}
+	}
+	hash := func(resp SearchResponse, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		wr(uint64(len(resp.Neighbors)))
+		for _, nb := range resp.Neighbors {
+			wr(uint64(nb.RID), math.Float64bits(nb.Dist2))
+		}
+	}
+	for i := 0; i < 24; i++ {
+		q := make([]float64, fullDim)
+		for d, v := range feats[rng.Intn(n)] {
+			q[d] = v + 0.05*rng.NormFloat64()
+		}
+		hash(ix.Search(ctx, SearchRequest{Query: q, K: 20, Refine: true, Multiplier: 6}))
+		hash(ix.Search(ctx, SearchRequest{Query: q, K: 5, Refine: true}))
+		hash(ix.Search(ctx, SearchRequest{Query: q, Radius: 0.35, Refine: true}))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenRefineDigest {
+		t.Fatalf("refined search digest drifted from the sidecar-v1 recording:\n got  %s\n want %s", got, goldenRefineDigest)
+	}
+}

@@ -18,6 +18,14 @@ import (
 // reduced keys and an attached sidecar holding the full features.
 func refineFixture(t *testing.T, n, fullDim, indexDim int) (*Index, [][]float64) {
 	t.Helper()
+	ix, feats, _ := refineFixturePool(t, n, fullDim, indexDim, 64)
+	return ix, feats
+}
+
+// refineFixturePool is refineFixture with the sidecar's pool size chosen by
+// the caller; it also returns the sidecar's path, for tests that reopen it.
+func refineFixturePool(t *testing.T, n, fullDim, indexDim, poolPages int) (*Index, [][]float64, string) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	feats := make([][]float64, n)
 	rids := make([]int64, n)
@@ -45,17 +53,17 @@ func refineFixture(t *testing.T, n, fullDim, indexDim int) (*Index, [][]float64)
 	if err := SaveSidecar(side, 4096, red, rids, feats); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.AttachRefine(side, 64); err != nil {
+	if err := ix.AttachRefine(side, poolPages); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ix.Close() })
-	return ix, feats
+	return ix, feats, side
 }
 
-// bruteForceQF returns the k nearest RIDs and their distances by exact
-// quadratic-form distance over the full features, ties broken by RID — the
-// ground truth the refine tier approximates (and matches, when the
-// multiplier covers the corpus).
+// bruteForceQF returns the k nearest RIDs and their squared distances by
+// exact quadratic-form distance over the full features, ties broken by RID —
+// the ground truth the refine tier approximates (and matches bit for bit,
+// when the multiplier covers the corpus).
 func bruteForceQF(feats [][]float64, q []float64, k int) ([]int64, []float64) {
 	type scored struct {
 		rid   int64
@@ -75,12 +83,12 @@ func bruteForceQF(feats [][]float64, q []float64, k int) ([]int64, []float64) {
 		k = len(all)
 	}
 	rids := make([]int64, k)
-	dists := make([]float64, k)
+	dist2 := make([]float64, k)
 	for i := range rids {
 		rids[i] = all[i].rid
-		dists[i] = math.Sqrt(all[i].dist2)
+		dist2[i] = all[i].dist2
 	}
-	return rids, dists
+	return rids, dist2
 }
 
 func TestSearchRequestValidate(t *testing.T) {
@@ -201,11 +209,16 @@ func TestSearchRefineMatchesBruteForce(t *testing.T) {
 		if resp.Filter.Candidates != n {
 			t.Fatalf("full-coverage filter returned %d of %d candidates", resp.Filter.Candidates, n)
 		}
-		truth, truthDist := bruteForceQF(feats, q, k)
+		truth, truthDist2 := bruteForceQF(feats, q, k)
 		for i, nb := range resp.Neighbors {
-			if nb.RID != truth[i] {
-				t.Fatalf("trial %d rank %d: refined rid %d, brute force %d", trial, i, nb.RID, truth[i])
+			if nb.RID != truth[i] || math.Float64bits(nb.Dist2) != math.Float64bits(truthDist2[i]) {
+				t.Fatalf("trial %d rank %d: refined (rid %d, dist2 %v), brute force (rid %d, dist2 %v)",
+					trial, i, nb.RID, nb.Dist2, truth[i], truthDist2[i])
 			}
+		}
+		if resp.Refine.Pages < 1 || resp.Refine.Pages > resp.Refine.Candidates || resp.Filter.Pages != 0 {
+			t.Fatalf("trial %d: refine pinned %d pages for %d candidates, filter reports %d",
+				trial, resp.Refine.Pages, resp.Refine.Candidates, resp.Filter.Pages)
 		}
 		// Distances come back in the full quadratic-form metric, ascending.
 		for i := 1; i < len(resp.Neighbors); i++ {
@@ -226,8 +239,8 @@ func TestSearchRefineMatchesBruteForce(t *testing.T) {
 			t.Fatalf("filter returned %d candidates, want %d", resp.Filter.Candidates, k*mult)
 		}
 		for i, nb := range resp.Neighbors {
-			if nb.Dist < truthDist[i] {
-				t.Fatalf("trial %d rank %d: refined distance %v beats brute force %v", trial, i, nb.Dist, truthDist[i])
+			if nb.Dist2 < truthDist2[i] {
+				t.Fatalf("trial %d rank %d: refined dist2 %v beats brute force %v", trial, i, nb.Dist2, truthDist2[i])
 			}
 		}
 	}
@@ -236,7 +249,7 @@ func TestSearchRefineMatchesBruteForce(t *testing.T) {
 // TestSearchRefineRange checks the radius + refine combination: membership
 // is the index-space radius set, ordering and distances are full-space.
 func TestSearchRefineRange(t *testing.T) {
-	ix, _ := refineFixture(t, 400, 24, 3)
+	ix, feats := refineFixture(t, 400, 24, 3)
 	ctx := context.Background()
 	q := make([]float64, 24)
 	for d := range q {
@@ -267,34 +280,72 @@ func TestSearchRefineRange(t *testing.T) {
 			t.Fatalf("refined range distances not ascending at %d", i)
 		}
 	}
+	// Every member carries the exact full-space distance, bit for bit.
+	for _, nb := range refined.Neighbors {
+		want := blobworld.QFDist2(geom.Vector(q), geom.Vector(feats[nb.RID]))
+		if math.Float64bits(nb.Dist2) != math.Float64bits(want) {
+			t.Fatalf("rid %d: refined dist2 %v, brute force %v", nb.RID, nb.Dist2, want)
+		}
+	}
 }
 
 // TestSearchRefineSteadyStateAlloc proves the refine path — block-scored
 // filter plus QF re-rank — allocates nothing once warm when the caller
-// reuses the destination slice. Under -race it still drives the steady-state
-// loop (validating the pooled scratch against the race detector) but skips
-// the alloc count, which is unreliable there: sync.Pool drops items randomly.
+// reuses the destination slice: not when every sidecar page is a pool hit,
+// and not when every page is a miss (an 8-page pool emptied before each
+// search), where each load decodes into the frame an earlier eviction gave
+// back. Under -race it still drives the steady-state loop (validating the
+// pooled scratch against the race detector) but skips the alloc count, which
+// is unreliable there: sync.Pool drops items randomly.
 func TestSearchRefineSteadyStateAlloc(t *testing.T) {
 	const k = 10
-	ix, feats := refineFixture(t, 600, 32, 4)
-	queries := feats[:32]
-	dst := make([]Neighbor, 0, 8*k)
-	run := func(i int) {
-		resp, err := ix.SearchInto(nil, SearchRequest{Query: queries[i%len(queries)], K: k, Refine: true, Multiplier: 4}, dst[:0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst = resp.Neighbors
-	}
-	for i := 0; i < 64; i++ {
-		run(i)
-	}
-	if raceEnabled {
-		return
-	}
-	i := 0
-	if avg := testing.AllocsPerRun(200, func() { run(i); i++ }); avg != 0 {
-		t.Errorf("steady-state refined search: %.1f allocs/op, want 0", avg)
+	for _, tc := range []struct {
+		name    string
+		pool    int
+		allMiss bool
+	}{
+		{"hits", 64, false},
+		{"misses", 8, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, feats, _ := refineFixturePool(t, 600, 32, 4, tc.pool)
+			queries := feats[:32]
+			dst := make([]Neighbor, 0, 8*k)
+			pages := 0
+			run := func(i int) {
+				if tc.allMiss {
+					ix.side.EvictAll()
+				}
+				resp, err := ix.SearchInto(nil, SearchRequest{Query: queries[i%len(queries)], K: k, Refine: true, Multiplier: 4}, dst[:0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				dst = resp.Neighbors
+				pages += resp.Refine.Pages
+			}
+			for i := 0; i < 64; i++ {
+				run(i)
+			}
+			if raceEnabled {
+				return
+			}
+			ix.side.ResetStats()
+			pages = 0
+			i := 0
+			if avg := testing.AllocsPerRun(200, func() { run(i); i++ }); avg != 0 {
+				t.Errorf("steady-state refined search: %.1f allocs/op, want 0", avg)
+			}
+			st := ix.side.PoolStats()
+			if int(st.Hits+st.Misses) != pages {
+				t.Errorf("%d pins for %d pages reported", st.Hits+st.Misses, pages)
+			}
+			if tc.allMiss && (st.Hits != 0 || st.Misses == 0) {
+				t.Errorf("every page should have been a miss: %+v", st)
+			}
+			if !tc.allMiss && st.Misses != 0 {
+				t.Errorf("every page should have been a hit: %+v", st)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -11,200 +12,106 @@ import (
 	"time"
 
 	"blobindex/internal/chaoscluster"
-	"blobindex/internal/clusterbench"
 	"blobindex/internal/experiments"
-	"blobindex/internal/ingestbench"
 	"blobindex/internal/recallbench"
-	"blobindex/internal/servebench"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:]))
+}
+
+// A section is one titled block of output.
+type section struct {
+	title string
+	run   func(s *experiments.Scenario) (string, error)
+}
+
+// An experiment is one row of the table that drives -experiment's help
+// text, its validation and the dispatch.
+type experiment struct {
+	names []string // the -experiment names that select it
+	// explicit experiments run only when named, never as part of "all".
+	explicit bool
+	sections []section
+}
+
+// one is the common single-section experiment, titled by its names.
+func one(run func(s *experiments.Scenario) (string, error), names ...string) experiment {
+	return experiment{names: names, sections: []section{{strings.Join(names, "/"), run}}}
+}
+
+// run is the whole command behind main: it returns the exit status, 2 for a
+// usage error (reported before any scenario is built) and 1 for a failed
+// experiment.
+func run(args []string) int {
+	fs := flag.NewFlagSet("blobbench", flag.ContinueOnError)
 	p := experiments.DefaultParams()
-	var which string
-	flag.IntVar(&p.Images, "images", p.Images, "synthetic corpus size in images")
-	flag.IntVar(&p.Queries, "queries", p.Queries, "workload query count")
-	flag.IntVar(&p.K, "k", p.K, "results per query")
-	flag.IntVar(&p.Dim, "dim", p.Dim, "indexed (SVD) dimensionality")
-	flag.IntVar(&p.PageSize, "pagesize", p.PageSize, "page size in bytes")
-	flag.Int64Var(&p.Seed, "seed", p.Seed, "random seed")
-	flag.IntVar(&p.XJBX, "xjbx", p.XJBX, "XJB bite count X")
-	flag.IntVar(&p.AMAPSamples, "amap-samples", p.AMAPSamples, "aMAP candidate partitions")
-	flag.StringVar(&which, "experiment", "all",
-		"comma-separated subset of: fig6,tab2,fig7,fig8,tab3,fig14,fig15,fig16,scan,structure,buffer,pagedio,quality,skew,dynamic,replay,ablations,bench,serve,chaos,recall,ingest,cluster (plus chaose2e, which only runs when named explicitly)")
-	workers := flag.Int("workers", 0, "replay worker pool size (0 = GOMAXPROCS)")
-	benchIters := flag.Int("bench-iters", 100, "iterations per bench operation")
-	benchOut := flag.String("benchout", "", "write the bench experiment's JSON to this file")
-	pagedOut := flag.String("pagedout", "", "write the pagedio experiment's JSON to this file")
-	serveOut := flag.String("serveout", "", "write the serve experiment's JSON to this file")
-	chaosOut := flag.String("chaosout", "", "write the chaos experiment's JSON to this file")
-	recallOut := flag.String("recallout", "", "write the recall experiment's JSON to this file")
-	ingestOut := flag.String("ingestout", "", "write the ingest experiment's JSON to this file")
-	ingestWriters := flag.Int("ingest-writers", 4, "ingest experiment concurrent writers")
-	ingestSeal := flag.Int("ingest-seal", 0, "ingest experiment seal threshold (0 = points/8)")
-	recallQueries := flag.Int("recall-queries", 0, "recall experiment query count (0 = default)")
-	serveClients := flag.Int("serve-clients", 64, "serve experiment concurrent clients")
-	serveRequests := flag.Int("serve-requests", 4096, "serve experiment total requests")
-	clusterOut := flag.String("clusterout", "", "write the cluster experiment's JSON to this file")
-	clusterShards := flag.Int("cluster-shards", 3, "cluster experiment shard count")
-	clusterScheme := flag.String("cluster-partition", "hash", "cluster experiment partition scheme (hash|space)")
-	clusterClients := flag.Int("cluster-clients", 32, "cluster experiment concurrent clients")
-	clusterRequests := flag.Int("cluster-requests", 2048, "cluster experiment total requests")
-	chaosE2EOut := flag.String("chaose2eout", "", "write the chaose2e experiment's JSON to this file")
-	chaosE2ESeeds := flag.Int("chaose2e-seeds", 2, "chaose2e experiment seed count (seeds 1..N)")
-	chaosE2EActions := flag.Int("chaose2e-actions", 256, "chaose2e experiment minimum actions per seed")
-	chaosE2EImages := flag.Int("chaose2e-images", 900, "chaose2e experiment corpus size in images")
-	flag.Parse()
+	fs.IntVar(&p.Images, "images", p.Images, "synthetic corpus size in images")
+	fs.IntVar(&p.Queries, "queries", p.Queries, "workload query count")
+	fs.IntVar(&p.K, "k", p.K, "results per query")
+	fs.IntVar(&p.Dim, "dim", p.Dim, "indexed (SVD) dimensionality")
+	fs.IntVar(&p.PageSize, "pagesize", p.PageSize, "page size in bytes")
+	fs.Int64Var(&p.Seed, "seed", p.Seed, "random seed")
+	fs.IntVar(&p.XJBX, "xjbx", p.XJBX, "XJB bite count X")
+	fs.IntVar(&p.AMAPSamples, "amap-samples", p.AMAPSamples, "aMAP candidate partitions")
+	workers := fs.Int("workers", 0, "replay worker pool size (0 = GOMAXPROCS)")
+	pagedOut := fs.String("pagedout", "", "write the pagedio experiment's JSON to this file")
+	chaosOut := fs.String("chaosout", "", "write the chaos experiment's JSON to this file")
+	recallOut := fs.String("recallout", "", "write the recall experiment's JSON to this file")
+	recallQueries := fs.Int("recall-queries", 0, "recall experiment query count (0 = default)")
+	chaosE2EOut := fs.String("chaose2eout", "", "write the chaose2e experiment's JSON to this file")
+	chaosE2ESeeds := fs.Int("chaose2e-seeds", 2, "chaose2e experiment seed count (seeds 1..N)")
+	chaosE2EActions := fs.Int("chaose2e-actions", 256, "chaose2e experiment minimum actions per seed")
+	chaosE2EImages := fs.Int("chaose2e-images", 900, "chaose2e experiment corpus size in images")
 
-	want := map[string]bool{}
-	for _, w := range strings.Split(which, ",") {
-		want[strings.TrimSpace(w)] = true
-	}
-	has := func(names ...string) bool {
-		if want["all"] {
-			return true
-		}
-		for _, n := range names {
-			if want[n] {
-				return true
-			}
-		}
-		return false
-	}
-
-	start := time.Now()
-	fmt.Printf("# blobbench: %d images, %d queries, k=%d, dim=%d, page=%dB, seed=%d\n",
-		p.Images, p.Queries, p.K, p.Dim, p.PageSize, p.Seed)
-	s, err := experiments.NewScenario(p)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("# corpus: %d blobs in %d images; setup %.1fs\n\n",
-		len(s.Corpus.Blobs), s.Corpus.Images, time.Since(start).Seconds())
-
-	if has("fig6") {
-		run("fig6", func() (string, error) {
-			r, err := experiments.Fig6(s)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		})
-	}
-	if has("tab2") {
-		run("tab2", func() (string, error) {
-			r, err := experiments.Table2(s)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		})
-	}
-	if has("fig7", "fig8") {
-		run("fig7/fig8", func() (string, error) {
+	table := []experiment{
+		one(func(s *experiments.Scenario) (string, error) {
+			return rendered(experiments.Fig6(s))
+		}, "fig6"),
+		one(func(s *experiments.Scenario) (string, error) {
+			return rendered(experiments.Table2(s))
+		}, "tab2"),
+		one(func(s *experiments.Scenario) (string, error) {
 			rows, err := experiments.Fig7And8(s)
-			if err != nil {
-				return "", err
-			}
 			return experiments.RenderLossRows(
-				"Figures 7 and 8: traditional AM losses (leaf level)", rows), nil
-		})
-	}
-	if has("tab3") {
-		run("tab3", func() (string, error) {
+				"Figures 7 and 8: traditional AM losses (leaf level)", rows), err
+		}, "fig7", "fig8"),
+		one(func(s *experiments.Scenario) (string, error) {
 			rows, err := experiments.Table3(s)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderTable3(rows, s.Params.Dim), nil
-		})
-	}
-	if has("fig14", "fig15", "fig16") {
-		run("fig14/fig15/fig16", func() (string, error) {
+			return experiments.RenderTable3(rows, s.Params.Dim), err
+		}, "tab3"),
+		one(func(s *experiments.Scenario) (string, error) {
 			rows, err := experiments.Fig14To16(s)
-			if err != nil {
-				return "", err
-			}
 			return experiments.RenderLossRows(
-				"Figures 14, 15 and 16: new AM losses and total I/Os", rows), nil
-		})
-	}
-	if has("scan") {
-		run("scan", func() (string, error) {
-			r, err := experiments.Scan(s)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		})
-	}
-	if has("structure") {
-		run("structure", func() (string, error) {
+				"Figures 14, 15 and 16: new AM losses and total I/Os", rows), err
+		}, "fig14", "fig15", "fig16"),
+		one(func(s *experiments.Scenario) (string, error) {
+			return rendered(experiments.Scan(s))
+		}, "scan"),
+		one(func(s *experiments.Scenario) (string, error) {
 			rows, err := experiments.Structure(s)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderStructure(rows), nil
-		})
-	}
-	if has("buffer") {
-		run("buffer", func() (string, error) {
-			r, err := experiments.BufferSweepDefault(s)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		})
-	}
-	if has("pagedio") {
-		run("pagedio", func() (string, error) {
+			return experiments.RenderStructure(rows), err
+		}, "structure"),
+		one(func(s *experiments.Scenario) (string, error) {
+			return rendered(experiments.BufferSweepDefault(s))
+		}, "buffer"),
+		one(func(s *experiments.Scenario) (string, error) {
 			r, err := experiments.PagedIODefault(s)
 			if err != nil {
 				return "", err
 			}
-			if *pagedOut != "" {
-				data, err := r.JSON()
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(*pagedOut, data, 0o644); err != nil {
-					return "", err
-				}
-			}
-			return r.Render(), nil
-		})
-	}
-	if has("quality") {
-		run("quality", func() (string, error) {
+			return r.Render(), writeArtifact(*pagedOut, r)
+		}, "pagedio"),
+		one(func(s *experiments.Scenario) (string, error) {
 			rows, err := experiments.Quality(s)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderQuality(rows), nil
-		})
-	}
-	if has("skew") {
-		run("skew", func() (string, error) {
+			return experiments.RenderQuality(rows), err
+		}, "quality"),
+		one(func(s *experiments.Scenario) (string, error) {
 			rows, err := experiments.WorkloadSkew(s)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderSkew(rows), nil
-		})
-	}
-	if has("dynamic") {
-		for _, kind := range []string{"jb", "xjb"} {
-			kind := kind
-			run("dynamic "+kind, func() (string, error) {
-				rows, err := experiments.Dynamic(s, experiments.AMKind(kind))
-				if err != nil {
-					return "", err
-				}
-				return experiments.RenderDynamic(experiments.AMKind(kind), rows), nil
-			})
-		}
-	}
-	if has("replay") {
-		run("replay", func() (string, error) {
+			return experiments.RenderSkew(rows), err
+		}, "skew"),
+		{names: []string{"dynamic"}, sections: []section{dynamic("jb"), dynamic("xjb")}},
+		one(func(s *experiments.Scenario) (string, error) {
 			var (
 				rows []experiments.ReplayRow
 				err  error
@@ -215,89 +122,35 @@ func main() {
 			} else {
 				rows, err = experiments.ReplayThroughputDefault(s)
 			}
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderReplay(rows), nil
-		})
-	}
-	if has("ablations") {
-		run("ablation: bulk order", func() (string, error) {
-			rows, err := experiments.AblationBulkOrder(s)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderOrderAblation(rows), nil
-		})
-		run("ablation: amap samples", func() (string, error) {
-			rows, err := experiments.AblationAMAPSamples(s, []int{64, 256, 1024, 4096})
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderAMAPAblation(rows), nil
-		})
-		run("ablation: rstar", func() (string, error) {
-			rows, err := experiments.AblationRStar(s)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderRStarAblation(rows), nil
-		})
-		run("ablation: xjb x", func() (string, error) {
-			r, err := experiments.AblationXJB(s, []int{2, 4, 6, 8, 10, 12, 16})
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		})
-	}
-	if has("serve") {
-		run("serve", func() (string, error) {
-			sp := servebench.DefaultServeParams()
-			sp.Clients = *serveClients
-			sp.Requests = *serveRequests
-			r, err := servebench.ServeBench(s, sp)
-			if err != nil {
-				return "", err
-			}
-			if *serveOut != "" {
-				data, err := r.JSON()
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(*serveOut, data, 0o644); err != nil {
-					return "", err
-				}
-			}
-			return r.Render(), nil
-		})
-	}
-	if has("chaos") {
-		run("chaos", func() (string, error) {
+			return experiments.RenderReplay(rows), err
+		}, "replay"),
+		{names: []string{"ablations"}, sections: []section{
+			{"ablation: bulk order", func(s *experiments.Scenario) (string, error) {
+				rows, err := experiments.AblationBulkOrder(s)
+				return experiments.RenderOrderAblation(rows), err
+			}},
+			{"ablation: amap samples", func(s *experiments.Scenario) (string, error) {
+				rows, err := experiments.AblationAMAPSamples(s, []int{64, 256, 1024, 4096})
+				return experiments.RenderAMAPAblation(rows), err
+			}},
+			{"ablation: rstar", func(s *experiments.Scenario) (string, error) {
+				rows, err := experiments.AblationRStar(s)
+				return experiments.RenderRStarAblation(rows), err
+			}},
+			{"ablation: xjb x", func(s *experiments.Scenario) (string, error) {
+				return rendered(experiments.AblationXJB(s, []int{2, 4, 6, 8, 10, 12, 16}))
+			}},
+		}},
+		one(func(s *experiments.Scenario) (string, error) {
 			r, err := experiments.ChaosDefault(s)
 			if err != nil {
 				return "", err
 			}
-			if *chaosOut != "" {
-				data, err := r.JSON()
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(*chaosOut, data, 0o644); err != nil {
-					return "", err
-				}
-			}
-			out := r.Render()
-			if !r.Pass {
-				return "", fmt.Errorf("chaos experiment failed:\n%s", out)
-			}
-			return out, nil
-		})
-	}
-	if has("recall") {
-		run("recall", func() (string, error) {
+			return verdict("chaos", r.Render(), r.Pass, writeArtifact(*chaosOut, r))
+		}, "chaos"),
+		one(func(s *experiments.Scenario) (string, error) {
 			rp := recallbench.DefaultRecallParams()
-			rp.K = p.K
+			rp.K = s.Params.K
 			if *recallQueries > 0 {
 				rp.Queries = *recallQueries
 			}
@@ -305,147 +158,147 @@ func main() {
 			if err != nil {
 				return "", err
 			}
-			if *recallOut != "" {
-				data, err := r.JSON()
+			return r.Render(), writeArtifact(*recallOut, r)
+		}, "recall"),
+		// chaose2e compiles the daemons, boots a real sharded cluster per
+		// seed and injects process faults — minutes of wall clock — so it
+		// never rides along with "all".
+		{names: []string{"chaose2e"}, explicit: true, sections: []section{{"chaose2e",
+			func(s *experiments.Scenario) (string, error) {
+				seeds := make([]int64, *chaosE2ESeeds)
+				for i := range seeds {
+					seeds[i] = int64(i + 1)
+				}
+				r, err := chaoscluster.Run(chaoscluster.Config{
+					Seeds:   seeds,
+					Actions: *chaosE2EActions,
+					Images:  *chaosE2EImages,
+					K:       s.Params.K,
+					Log: func(format string, args ...any) {
+						fmt.Printf("# "+format+"\n", args...)
+					},
+				})
 				if err != nil {
 					return "", err
 				}
-				if err := os.WriteFile(*recallOut, data, 0o644); err != nil {
-					return "", err
-				}
-			}
-			return r.Render(), nil
-		})
+				return verdict("chaose2e", r.Render(), r.Pass, writeArtifact(*chaosE2EOut, r))
+			}}}},
 	}
-	if has("ingest") {
-		run("ingest", func() (string, error) {
-			ip := ingestbench.DefaultIngestParams()
-			ip.Writers = *ingestWriters
-			ip.SealThreshold = *ingestSeal
-			r, err := ingestbench.IngestBench(s, ip)
-			if err != nil {
-				return "", err
-			}
-			if *ingestOut != "" {
-				data, err := r.JSON()
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(*ingestOut, data, 0o644); err != nil {
-					return "", err
-				}
-			}
-			out := r.Render()
-			if !r.Pass {
-				return "", fmt.Errorf("ingest experiment failed:\n%s", out)
-			}
-			return out, nil
-		})
+
+	which := fs.String("experiment", "all", "comma-separated subset of: "+usage(table))
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	if has("cluster") {
-		run("cluster", func() (string, error) {
-			cp := clusterbench.DefaultClusterParams()
-			cp.Shards = *clusterShards
-			cp.Partition = *clusterScheme
-			cp.Clients = *clusterClients
-			cp.Requests = *clusterRequests
-			r, err := clusterbench.ClusterBench(s, cp)
-			if err != nil {
-				return "", err
-			}
-			if *clusterOut != "" {
-				data, err := r.JSON()
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(*clusterOut, data, 0o644); err != nil {
-					return "", err
-				}
-			}
-			out := r.Render()
-			if !r.Pass {
-				return "", fmt.Errorf("cluster experiment failed:\n%s", out)
-			}
-			return out, nil
-		})
+	selected, err := selectExperiments(table, *which)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "blobbench:", err)
+		return 2
 	}
-	// chaose2e is never part of "all": it compiles the daemons, boots a real
-	// sharded cluster per seed and injects process faults — minutes of wall
-	// clock. It must be named explicitly (CI's chaos-e2e job and
-	// `make chaose2e` do).
-	if want["chaose2e"] {
-		run("chaose2e", func() (string, error) {
-			seeds := make([]int64, *chaosE2ESeeds)
-			for i := range seeds {
-				seeds[i] = int64(i + 1)
-			}
-			r, err := chaoscluster.Run(chaoscluster.Config{
-				Seeds:   seeds,
-				Actions: *chaosE2EActions,
-				Images:  *chaosE2EImages,
-				K:       p.K,
-				Log: func(format string, args ...any) {
-					fmt.Printf("# "+format+"\n", args...)
-				},
-			})
-			if err != nil {
-				return "", err
-			}
-			if *chaosE2EOut != "" {
-				data, err := r.JSON()
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(*chaosE2EOut, data, 0o644); err != nil {
-					return "", err
-				}
-			}
-			out := r.Render()
-			if !r.Pass {
-				return "", fmt.Errorf("chaose2e experiment failed:\n%s", out)
-			}
-			return out, nil
-		})
+
+	start := time.Now()
+	fmt.Printf("# blobbench: %d images, %d queries, k=%d, dim=%d, page=%dB, seed=%d\n",
+		p.Images, p.Queries, p.K, p.Dim, p.PageSize, p.Seed)
+	s, err := experiments.NewScenario(p)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "blobbench:", err)
+		return 1
 	}
-	if has("bench") {
-		run("bench", func() (string, error) {
-			r, err := experiments.QueryBench(s, *benchIters)
+	fmt.Printf("# corpus: %d blobs in %d images; setup %.1fs\n\n",
+		len(s.Corpus.Blobs), s.Corpus.Images, time.Since(start).Seconds())
+	for _, e := range selected {
+		for _, sec := range e.sections {
+			t0 := time.Now()
+			out, err := sec.run(s)
 			if err != nil {
-				return "", err
+				fmt.Fprintf(os.Stderr, "blobbench: %s: %v\n", sec.title, err)
+				return 1
 			}
-			// The refine tier rides in the same artifact: same measurement
-			// harness, extra rows for the filter-and-refine serving path.
-			refineRows, err := recallbench.RefineBench(s, *benchIters)
-			if err != nil {
-				return "", err
-			}
-			r.Rows = append(r.Rows, refineRows...)
-			if *benchOut != "" {
-				data, err := r.JSON()
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
-					return "", err
-				}
-			}
-			return r.Render(), nil
-		})
+			fmt.Println(out)
+			fmt.Printf("# [%s in %.1fs]\n\n", sec.title, time.Since(t0).Seconds())
+		}
 	}
 	fmt.Printf("# done in %.1fs\n", time.Since(start).Seconds())
+	return 0
 }
 
-func run(name string, f func() (string, error)) {
-	start := time.Now()
-	out, err := f()
-	if err != nil {
-		fatal(fmt.Errorf("%s: %w", name, err))
+// selectExperiments resolves a comma-separated -experiment value against the
+// table, in table order. "all" selects every experiment not marked
+// explicit; any other name must select a row.
+func selectExperiments(table []experiment, which string) ([]experiment, error) {
+	want := map[string]bool{}
+	for _, w := range strings.Split(which, ",") {
+		want[strings.TrimSpace(w)] = true
 	}
-	fmt.Println(out)
-	fmt.Printf("# [%s in %.1fs]\n\n", name, time.Since(start).Seconds())
+	var selected []experiment
+	for _, e := range table {
+		hit := want["all"] && !e.explicit
+		for _, n := range e.names {
+			hit = hit || want[n]
+			delete(want, n)
+		}
+		if hit {
+			selected = append(selected, e)
+		}
+	}
+	delete(want, "all")
+	for w := range want {
+		return nil, fmt.Errorf("unknown experiment %q; valid: %s", w, usage(table))
+	}
+	return selected, nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "blobbench:", err)
-	os.Exit(1)
+// usage lists the valid -experiment names.
+func usage(table []experiment) string {
+	var names, explicit []string
+	for _, e := range table {
+		if e.explicit {
+			explicit = append(explicit, e.names...)
+		} else {
+			names = append(names, e.names...)
+		}
+	}
+	return fmt.Sprintf("all,%s (plus %s, which only runs when named explicitly)",
+		strings.Join(names, ","), strings.Join(explicit, ","))
+}
+
+func dynamic(kind experiments.AMKind) section {
+	return section{"dynamic " + string(kind), func(s *experiments.Scenario) (string, error) {
+		rows, err := experiments.Dynamic(s, kind)
+		return experiments.RenderDynamic(kind, rows), err
+	}}
+}
+
+// rendered adapts an experiment that returns a renderable result.
+func rendered[R interface{ Render() string }](r R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return r.Render(), nil
+}
+
+// writeArtifact writes r's JSON to path; an empty path writes nothing.
+func writeArtifact(path string, r interface{ JSON() ([]byte, error) }) error {
+	if path == "" {
+		return nil
+	}
+	data, err := r.JSON()
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
+}
+
+// verdict fails a pass/fail experiment after its artifact is written, so a
+// red run still leaves its evidence behind.
+func verdict(name, out string, pass bool, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	if !pass {
+		return "", fmt.Errorf("%s experiment failed:\n%s", name, out)
+	}
+	return out, nil
 }

@@ -1,7 +1,7 @@
 // Package apiclient is the typed HTTP client for the blobserved wire
 // protocol, shared by every in-repo consumer that talks to a daemon over
-// TCP: the cluster router's scatter-gather tier, the servebench and
-// clusterbench load generators, and the end-to-end cluster tests. It owns
+// TCP: the cluster router's scatter-gather tier, the chaos harness, and
+// the end-to-end cluster tests. It owns
 // the request/decode plumbing those callers used to duplicate — bounded
 // JSON bodies, status-to-error mapping, and Retry-After-aware bounded
 // retry of 429/503 responses and transport failures.

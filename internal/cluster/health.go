@@ -17,7 +17,7 @@ type MemberState int32
 
 const (
 	// StateUnknown is the boot state, before the first probe lands; the
-	// router treats unknown members as routable.
+	// router ranks unknown members with healthy ones.
 	StateUnknown MemberState = iota
 	// StateHealthy: /readyz answered 200 (or a query just succeeded).
 	StateHealthy

@@ -103,6 +103,30 @@ func TestHealthStalledMemberDegraded(t *testing.T) {
 	}
 }
 
+// TestMemberOrderRanksEveryStatePair pins the routing preference for a
+// primary and its replica in every pair of states: the replica leads only
+// when it ranks strictly better, and unprobed ranks with healthy — so a
+// health round that reaches the replica first cannot count a failover.
+func TestMemberOrderRanksEveryStatePair(t *testing.T) {
+	rank := map[MemberState]int{StateHealthy: 0, StateUnknown: 0, StateDegraded: 1, StateDown: 2}
+	states := []MemberState{StateUnknown, StateHealthy, StateDegraded, StateDown}
+	for _, ps := range states {
+		for _, rs := range states {
+			primary, replica := &member{addr: "primary"}, &member{addr: "replica"}
+			primary.setState(ps)
+			replica.setState(rs)
+			r := &Router{shards: [][]*member{{primary, replica}}}
+			want := "primary"
+			if rank[rs] < rank[ps] {
+				want = "replica"
+			}
+			if got := r.memberOrder(0)[0].addr; got != want {
+				t.Errorf("primary=%v replica=%v: %s leads, want %s", ps, rs, got, want)
+			}
+		}
+	}
+}
+
 // TestNoteFailureClassification pins the query-path health signal: timeouts
 // degrade, refused connections bury, explicit daemon statuses keep the
 // probed state.

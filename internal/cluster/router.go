@@ -246,24 +246,24 @@ func (r *Router) attempt(ctx context.Context, m *member, call shardCall) (*serve
 	return resp, nil
 }
 
-// memberOrder returns a shard's members in routing preference: healthy
-// first, then unprobed, then degraded, then down — each group in manifest
-// order, so the primary leads its group. This is how the router "routes
-// around" a degraded shard: its replica simply sorts first.
+// memberOrder returns a shard's members in routing preference: healthy or
+// not yet probed first, then degraded, then down — each group in manifest
+// order, so the primary leads its group. Unprobed ranks with healthy so a
+// health round that publishes a replica's verdict before its primary's does
+// not route the primary's traffic to the replica. This is how the router
+// "routes around" a degraded shard: its replica simply sorts first.
 func (r *Router) memberOrder(si int) []*member {
 	ms := r.shards[si]
 	order := make([]*member, len(ms))
 	copy(order, ms)
 	rank := func(m *member) int {
 		switch m.getState() {
-		case StateHealthy:
+		case StateHealthy, StateUnknown:
 			return 0
-		case StateUnknown:
-			return 1
 		case StateDegraded:
-			return 2
+			return 1
 		default:
-			return 3
+			return 2
 		}
 	}
 	sort.SliceStable(order, func(i, j int) bool { return rank(order[i]) < rank(order[j]) })

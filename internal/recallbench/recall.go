@@ -1,9 +1,9 @@
 // Package recallbench calibrates the filter-and-refine tier's recall: it
 // sweeps candidate multipliers against brute-force exact ground truth and
 // derives the TargetRecall -> Multiplier ladder baked into the facade. It
-// lives outside internal/experiments for the same reason servebench does —
-// it drives the blobindex facade itself, which the experiments package must
-// stay importable from (blobindex's test files import experiments).
+// lives outside internal/experiments because it drives the blobindex facade
+// itself, which the experiments package must stay importable from
+// (blobindex's test files import experiments).
 package recallbench
 
 import (

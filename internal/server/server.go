@@ -14,6 +14,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -22,6 +23,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -344,10 +346,25 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 	}
 }
 
+// bodyPool recycles writeJSON's response buffers: a 200-NN body is ~12 KB,
+// and a fresh one per request is garbage the hot path cannot afford.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v before the status line goes out, so a value
+// encoding/json rejects — a distance that overflowed to +Inf — answers 500
+// with a well-formed error body rather than a 200 with a broken one.
 func writeJSON(w http.ResponseWriter, status int, v any) int {
+	body := bodyPool.Get().(*bytes.Buffer)
+	defer func() { body.Reset(); bodyPool.Put(body) }()
 	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(body).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		body.Reset()
+		_ = json.NewEncoder(body).Encode(errorResponse{Error: "encode response: " + err.Error()})
+		w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
+	}
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body.Bytes())
 	return status
 }
 

@@ -234,6 +234,30 @@ func getStats(t *testing.T, ts *httptest.Server) (*http.Response, []byte) {
 	return resp, body
 }
 
+// TestNonFiniteDistanceAnswers500 posts a finite query whose squared
+// distance overflows to +Inf, which encoding/json cannot encode: the answer
+// must be a 500 with a complete JSON error body, not a 200 cut short.
+func TestNonFiniteDistanceAnswers500(t *testing.T) {
+	srv, err := New(Config{Index: buildIndex(t, 200, 5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/knn", knnBody([]float64{1e200, 0, 0, 0, 0}, 5))
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500; body %s", resp.StatusCode, body)
+	}
+	if resp.ContentLength != int64(len(body)) {
+		t.Errorf("Content-Length %d, body %d bytes", resp.ContentLength, len(body))
+	}
+	var e errorResponse
+	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+		t.Fatalf("body %q is not a JSON error (err %v)", body, err)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	srv, err := New(Config{Index: newStub(2), MaxK: 100})
 	if err != nil {

@@ -2,6 +2,7 @@ package blobindex
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -326,15 +327,37 @@ func TestOnlineTornTailAndJanitor(t *testing.T) {
 		}
 	}
 
-	for name, d := range map[string]string{"clean": crash, "torn": torn} {
+	// Junk appended after the last complete frame — a crash mid-append that
+	// got no further than a few bytes — rather than a frame cut short.
+	images := map[string]string{"clean": crash, "torn": torn}
+	for _, n := range []int{1, 8} {
+		d := cloneDir(t, crash)
+		f, err := os.OpenFile(filepath.Join(d, wal.FileName(1)), os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		junk := make([]byte, n)
+		for i := range junk {
+			junk[i] = byte(0xA5 ^ i)
+		}
+		if _, err := f.Write(junk); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		images[fmt.Sprintf("garbage-%d", n)] = d
+	}
+
+	for name, d := range images {
 		rec, err := OpenOnline(d, OnlineOptions{})
 		if err != nil {
 			t.Fatalf("%s: reopen: %v", name, err)
 		}
 		assertSameResults(t, oracle, rec, 13)
 		st, _ := rec.IngestStats()
-		if name == "torn" && st.TornBytes == 0 {
-			t.Fatal("torn tail not detected")
+		if name != "clean" && st.TornBytes == 0 {
+			t.Fatalf("%s: damaged tail not detected", name)
 		}
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
@@ -351,7 +374,7 @@ func TestOnlineTornTailAndJanitor(t *testing.T) {
 // readers across live seal/compact cycles (run under -race by make race /
 // CI). Readers assert prefix-consistency: every result RID was acknowledged
 // by a writer before the query returned, with no duplicates within one
-// result set.
+// result set — and every reader must have run during the ingest.
 func TestOnlineConcurrentIngest(t *testing.T) {
 	dir := t.TempDir()
 	ix, err := CreateOnline(dir, onlineTestOptions(), OnlineOptions{SealThreshold: 150})
@@ -394,12 +417,16 @@ func TestOnlineConcurrentIngest(t *testing.T) {
 		}(w)
 	}
 
-	for r := 0; r < 2; r++ {
+	// queries[r] counts reader r's completed queries, each begun before done
+	// closed; a slot is written only by its reader and read after
+	// readWG.Wait.
+	var queries [2]int
+	for r := range queries {
 		readWG.Add(1)
 		go func(r int) {
 			defer readWG.Done()
 			rng := rand.New(rand.NewSource(int64(200 + r)))
-			for {
+			for ; ; queries[r]++ {
 				select {
 				case <-done:
 					return
@@ -442,6 +469,11 @@ func TestOnlineConcurrentIngest(t *testing.T) {
 	writeWG.Wait()
 	close(done)
 	readWG.Wait()
+	for r, n := range queries {
+		if n == 0 {
+			t.Errorf("reader %d completed no query during the ingest", r)
+		}
+	}
 
 	// Settle maintenance, then verify the final state exactly.
 	if err := ix.CompactAll(); err != nil {

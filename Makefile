@@ -3,9 +3,9 @@
 GO ?= go
 
 .PHONY: check fmt vet build test race benchall benchcheck chaos chaossmoke \
-	fuzzsmoke recall recallsmoke vetdep chaose2e chaose2esmoke
+	fuzzsmoke recall recallsmoke chaose2e chaose2esmoke
 
-check: fmt vet vetdep build test race benchcheck chaossmoke recallsmoke chaose2esmoke
+check: fmt vet build test race benchcheck chaossmoke recallsmoke chaose2esmoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -85,14 +85,3 @@ chaose2e:
 # restart) still applies, so the whole harness runs end to end.
 chaose2esmoke:
 	$(GO) test -run TestChaosSmoke -count=1 -timeout 600s ./test/e2e/
-
-# vetdep fails when non-test code in this repo still calls the entry points
-# the SearchRequest API deprecated. (staticcheck would flag these as SA1019;
-# this grep gate keeps the check dependency-free.)
-vetdep:
-	@out=$$(grep -rnE '\.(SearchKNNInto|SearchRangeInto|SearchKNNCtx|SearchRangeCtx)\(' \
-		--include='*.go' . | grep -v '_test\.go' | grep -v '^\./concurrent\.go'); \
-	if [ -n "$$out" ]; then \
-		echo "deprecated search entry points still called outside tests:"; \
-		echo "$$out"; exit 1; \
-	fi; true

@@ -381,23 +381,6 @@ func BenchmarkSearchRange(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchDFS measures the depth-first (Roussopoulos) k-NN against
-// the best-first default; the ratio of their ns/op quantifies what the
-// frontier queue buys.
-func BenchmarkSearchDFS(b *testing.B) {
-	s := benchScenario(b)
-	reduced := s.Reduced(s.Params.Dim)
-	tree := benchTree(b, am.KindRTree)
-	rng := rand.New(rand.NewSource(98))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := reduced[rng.Intn(len(reduced))]
-		if res := nn.SearchDFS(tree, q, s.Params.K, nil); len(res) != s.Params.K {
-			b.Fatalf("got %d results", len(res))
-		}
-	}
-}
-
 // BenchmarkQualityHarvest measures the production query plan end to end:
 // harvest 200 candidates and report the per-AM recall of the full top-40
 // (the §2.3 success criterion).

@@ -383,6 +383,7 @@ type NeighborIterator struct {
 	// RIDs masked. it is nil in this mode.
 	heads []segIterHead
 	tombs map[int64]uint64
+	err   error // first error that stopped a head in multi-segment mode
 }
 
 // segIterHead is one segment's incremental scan plus its buffered next
@@ -406,12 +407,12 @@ func (ix *Index) SearchIter(q []float64) *NeighborIterator {
 		return &NeighborIterator{}
 	}
 	if seg, ok := ix.stack.Only(); ok {
-		return &NeighborIterator{it: nn.NewIterator(seg.Tree(), geom.Vector(q), nil)}
+		return &NeighborIterator{it: nn.NewIterator(context.TODO(), seg.Tree(), geom.Vector(q), nil)}
 	}
 	segs := ix.stack.Segments()
 	ni := &NeighborIterator{heads: make([]segIterHead, len(segs)), tombs: ix.stack.Tombstones()}
 	for i, seg := range segs {
-		ni.heads[i] = segIterHead{it: nn.NewIterator(seg.Tree(), geom.Vector(q), nil), gen: seg.Gen()}
+		ni.heads[i] = segIterHead{it: nn.NewIterator(context.TODO(), seg.Tree(), geom.Vector(q), nil), gen: seg.Gen()}
 		ni.advance(i)
 	}
 	return ni
@@ -423,6 +424,9 @@ func (ni *NeighborIterator) advance(i int) {
 	for {
 		h.cur, h.ok = h.it.Next()
 		if !h.ok {
+			if err := h.it.Err(); err != nil && ni.err == nil {
+				ni.err = err
+			}
 			return
 		}
 		if w, masked := ni.tombs[h.cur.RID]; masked && h.gen < w {
@@ -501,8 +505,22 @@ func (ni *NeighborIterator) All() iter.Seq2[int, Neighbor] {
 	}
 }
 
+// Err returns the page-store or context error that stopped the scan, or
+// nil while it runs and after it ends by exhausting the index. On a
+// demand-paged index a page read can fail mid-scan (ErrStorageTransient,
+// ErrStorageCorrupt); Next and NextWithin then report ok == false, exactly
+// as at the end of the index, and only Err tells the two apart. On a
+// multi-segment index the first failing segment stops the whole merged
+// scan, since the global order can no longer be guaranteed.
+func (ni *NeighborIterator) Err() error {
+	if ni.it != nil {
+		return ni.it.Err()
+	}
+	return ni.err
+}
+
 // Next returns the next-nearest neighbor, or ok == false when the index is
-// exhausted.
+// exhausted or the scan failed (see Err).
 func (ni *NeighborIterator) Next() (Neighbor, bool) {
 	var (
 		r  nn.Result
@@ -511,7 +529,7 @@ func (ni *NeighborIterator) Next() (Neighbor, bool) {
 	switch {
 	case ni.it != nil:
 		r, ok = ni.it.Next()
-	case ni.heads != nil:
+	case ni.heads != nil && ni.err == nil:
 		r, ok = ni.nextMerged()
 	}
 	if !ok {
@@ -521,8 +539,8 @@ func (ni *NeighborIterator) Next() (Neighbor, bool) {
 }
 
 // NextWithin returns the next neighbor within the given Euclidean radius,
-// or ok == false once the remaining neighbors are all farther; the scan can
-// be resumed with a larger radius.
+// or ok == false once the remaining neighbors are all farther (the scan can
+// be resumed with a larger radius) or the scan failed (see Err).
 func (ni *NeighborIterator) NextWithin(radius float64) (Neighbor, bool) {
 	var (
 		r  nn.Result
@@ -531,7 +549,7 @@ func (ni *NeighborIterator) NextWithin(radius float64) (Neighbor, bool) {
 	switch {
 	case ni.it != nil:
 		r, ok = ni.it.NextWithin(radius * radius)
-	case ni.heads != nil:
+	case ni.heads != nil && ni.err == nil:
 		r, ok = ni.peekMerged()
 		if ok && r.Dist2 > radius*radius {
 			ok = false

@@ -36,64 +36,6 @@ func appendNeighbors(dst []Neighbor, res []nn.Result) []Neighbor {
 	return dst
 }
 
-// SearchKNNCtx is SearchKNN with explicit failure modes and cancellation; it
-// is a thin wrapper over Search.
-//
-// Deprecated: use Search(ctx, SearchRequest{Query: q, K: k}) — the unified
-// request path, which adds per-stage accounting and the refine tier. One
-// behavioral difference: a non-positive k, which formerly returned an empty
-// result set, now reports ErrInvalidSearchRequest.
-func (ix *Index) SearchKNNCtx(ctx context.Context, q []float64, k int) ([]Neighbor, error) {
-	resp, err := ix.Search(ctx, SearchRequest{Query: q, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Neighbors, nil
-}
-
-// SearchKNNInto is SearchKNNCtx appending the neighbors to dst and returning
-// the extended slice. On error dst is returned truncated to its original
-// length.
-//
-// Deprecated: use SearchInto(ctx, SearchRequest{Query: q, K: k}, dst), which
-// has the same allocation contract (a caller-reused dst makes the
-// steady-state query path allocation-free).
-func (ix *Index) SearchKNNInto(ctx context.Context, q []float64, k int, dst []Neighbor) ([]Neighbor, error) {
-	resp, err := ix.SearchInto(ctx, SearchRequest{Query: q, K: k}, dst)
-	if err != nil {
-		return dst, err
-	}
-	return resp.Neighbors, nil
-}
-
-// SearchRangeCtx is SearchRange with the same failure modes and
-// cancellation behavior as SearchKNNCtx.
-//
-// Deprecated: use Search(ctx, SearchRequest{Query: q, Radius: radius}). One
-// behavioral difference: a non-positive radius, which formerly searched a
-// zero-radius ball, now reports ErrInvalidSearchRequest.
-func (ix *Index) SearchRangeCtx(ctx context.Context, q []float64, radius float64) ([]Neighbor, error) {
-	resp, err := ix.Search(ctx, SearchRequest{Query: q, Radius: radius})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Neighbors, nil
-}
-
-// SearchRangeInto is SearchRangeCtx appending the neighbors to dst and
-// returning the extended slice. On error dst is returned truncated to its
-// original length.
-//
-// Deprecated: use SearchInto(ctx, SearchRequest{Query: q, Radius: radius},
-// dst); see SearchKNNInto for the allocation contract.
-func (ix *Index) SearchRangeInto(ctx context.Context, q []float64, radius float64, dst []Neighbor) ([]Neighbor, error) {
-	resp, err := ix.SearchInto(ctx, SearchRequest{Query: q, Radius: radius}, dst)
-	if err != nil {
-		return dst, err
-	}
-	return resp.Neighbors, nil
-}
-
 // BatchSearchKNN answers one exact k-NN query per element of queries,
 // fanning the workload out across a pool of parallelism worker goroutines
 // (0 uses Options.Parallelism, and GOMAXPROCS if that is also zero). This

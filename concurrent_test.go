@@ -235,8 +235,8 @@ func TestConcurrentReadersSingleWriter(t *testing.T) {
 		}
 	})
 	reader(func(q []float64) {
-		if _, err := ix.SearchKNNCtx(ctx, q, 3); err != nil {
-			t.Errorf("SearchKNNCtx: %v", err)
+		if _, err := ix.Search(ctx, SearchRequest{Query: q, K: 3}); err != nil {
+			t.Errorf("Search: %v", err)
 		}
 	})
 	reader(func(q []float64) {
@@ -264,11 +264,11 @@ func TestSearchCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := ix.SearchKNNCtx(ctx, q, 5); !errors.Is(err, context.Canceled) {
-		t.Errorf("SearchKNNCtx: %v", err)
+	if _, err := ix.Search(ctx, SearchRequest{Query: q, K: 5}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Search k-NN: %v", err)
 	}
-	if _, err := ix.SearchRangeCtx(ctx, q, 0.5); !errors.Is(err, context.Canceled) {
-		t.Errorf("SearchRangeCtx: %v", err)
+	if _, err := ix.Search(ctx, SearchRequest{Query: q, Radius: 0.5}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Search range: %v", err)
 	}
 	if _, err := ix.BatchSearchKNN(ctx, [][]float64{q}, 5, 2); !errors.Is(err, context.Canceled) {
 		t.Errorf("BatchSearchKNN: %v", err)
@@ -306,8 +306,11 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := ix.Delete([]float64{1, 2}, 0); !errors.Is(err, ErrDimMismatch) {
 		t.Errorf("Delete with short key: %v", err)
 	}
-	if _, err := ix.SearchKNNCtx(ctx, []float64{1, 2}, 3); !errors.Is(err, ErrDimMismatch) {
-		t.Errorf("SearchKNNCtx with short query: %v", err)
+	if _, err := ix.Search(ctx, SearchRequest{Query: []float64{1, 2}, K: 3}); !errors.Is(err, ErrDimMismatch) {
+		t.Errorf("Search k-NN with short query: %v", err)
+	}
+	if _, err := ix.Search(ctx, SearchRequest{Query: []float64{1, 2}, Radius: 0.5}); !errors.Is(err, ErrDimMismatch) {
+		t.Errorf("Search range with short query: %v", err)
 	}
 	if _, err := ix.BatchSearchKNN(ctx, [][]float64{{1, 2}}, 3, 1); !errors.Is(err, ErrDimMismatch) {
 		t.Errorf("BatchSearchKNN with short query: %v", err)
@@ -318,11 +321,11 @@ func TestSentinelErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := []float64{0.1, 0.2, 0.3, 0.4}
-	if _, err := empty.SearchKNNCtx(ctx, q, 3); !errors.Is(err, ErrEmptyIndex) {
-		t.Errorf("SearchKNNCtx on empty index: %v", err)
+	if _, err := empty.Search(ctx, SearchRequest{Query: q, K: 3}); !errors.Is(err, ErrEmptyIndex) {
+		t.Errorf("Search k-NN on empty index: %v", err)
 	}
-	if _, err := empty.SearchRangeCtx(ctx, q, 0.5); !errors.Is(err, ErrEmptyIndex) {
-		t.Errorf("SearchRangeCtx on empty index: %v", err)
+	if _, err := empty.Search(ctx, SearchRequest{Query: q, Radius: 0.5}); !errors.Is(err, ErrEmptyIndex) {
+		t.Errorf("Search range on empty index: %v", err)
 	}
 	if _, err := empty.BatchSearchKNN(ctx, [][]float64{q}, 3, 1); !errors.Is(err, ErrEmptyIndex) {
 		t.Errorf("BatchSearchKNN on empty index: %v", err)

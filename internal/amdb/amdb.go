@@ -134,10 +134,6 @@ type Totals struct {
 	InnerExcessLoss float64
 }
 
-// TotalExcess returns leaf plus inner excess coverage loss — the
-// whole-tree number footnote 6 compares across access methods.
-func (t Totals) TotalExcess() float64 { return t.ExcessLoss + t.InnerExcessLoss }
-
 // TotalIOs returns leaf plus inner page reads.
 func (t Totals) TotalIOs() int { return t.LeafIOs + t.InnerIOs }
 

@@ -38,7 +38,7 @@ func (r *ReplayResult) QueriesPerSecond() float64 {
 // instrumented loss decomposition. Query i's results always land in slot i
 // and each query carries its own trace, so the outcome is deterministic:
 // replaying at any parallelism returns result-for-result what a sequential
-// loop over nn.Search would. The first context error aborts the replay.
+// loop over nn.SearchCtxInto would. The first context error aborts the replay.
 func Replay(ctx context.Context, tree *gist.Tree, queries []Query, parallelism int) (*ReplayResult, error) {
 	if ctx == nil {
 		ctx = context.Background()

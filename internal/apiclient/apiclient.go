@@ -98,9 +98,6 @@ var defaultHTTPClient = &http.Client{
 	},
 }
 
-// Base returns the client's base URL.
-func (c *Client) Base() string { return c.base }
-
 // KNN runs a k-NN search.
 func (c *Client) KNN(ctx context.Context, req server.KNNRequest) (*server.SearchResponse, error) {
 	var resp server.SearchResponse

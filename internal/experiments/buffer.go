@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"blobindex/internal/am"
 	"blobindex/internal/gist"
 	"blobindex/internal/nn"
@@ -54,8 +56,11 @@ func BufferSweep(s *Scenario, kinds []am.Kind, sizes []int) (*BufferSweepResult,
 		}
 		// Collect the raw (non-deduplicated) access streams once.
 		traces := make([]gist.Trace, len(wl.Queries))
+		var buf []nn.Result
 		for qi, q := range wl.Queries {
-			nn.SearchSphere(tree, q.Center, q.K, &traces[qi])
+			if buf, err = nn.SearchSphereCtxInto(context.TODO(), tree, q.Center, q.K, &traces[qi], buf[:0]); err != nil {
+				return nil, err
+			}
 		}
 		row := BufferRow{AM: string(kind)}
 		for _, size := range sizes {

@@ -161,7 +161,7 @@ func Chaos(s *Scenario, kinds []am.Kind, configs []ChaosFaults) (*ChaosResult, e
 				Queries:   len(wl.Queries),
 			}
 			for qi, q := range wl.Queries {
-				got, err := nn.SearchCtx(context.Background(), paged, q.Center, q.K, nil)
+				got, err := nn.SearchCtxInto(context.TODO(), paged, q.Center, q.K, nil, nil)
 				switch {
 				case err == nil:
 					row.OK++
@@ -223,7 +223,7 @@ func pagedDigests(path string, opts am.Options, poolPages int, queries []amdb.Qu
 	defer store.Close()
 	out := make([]uint64, len(queries))
 	for qi, q := range queries {
-		got, err := nn.SearchCtx(context.Background(), paged, q.Center, q.K, nil)
+		got, err := nn.SearchCtxInto(context.TODO(), paged, q.Center, q.K, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("chaos baseline query %d: %w", qi, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -116,8 +117,12 @@ func PagedIO(s *Scenario, kinds []am.Kind, fractions []float64) (*PagedIOResult,
 			// Record each query's access stream during the real execution so
 			// the simulation below replays the identical traversal events.
 			traces := make([]gist.Trace, len(wl.Queries))
+			var buf []nn.Result
 			for qi, q := range wl.Queries {
-				nn.Search(paged, q.Center, q.K, &traces[qi])
+				if buf, err = nn.SearchCtxInto(context.TODO(), paged, q.Center, q.K, &traces[qi], buf[:0]); err != nil {
+					store.Close()
+					return nil, fmt.Errorf("pagedio %s query %d: %w", kind, qi, err)
+				}
 			}
 			st := store.PoolStats()
 			sim := page.NewBufferPool(poolPages)
@@ -177,9 +182,12 @@ func pagedCrossCheck(s *Scenario, kind am.Kind, path string, opts am.Options, qu
 	}
 	defer store.Close()
 	store.ResetStats()
-	for _, q := range queries {
+	var buf []nn.Result
+	for qi, q := range queries {
 		store.EvictAll()
-		nn.Search(paged, q.Center, q.K, nil)
+		if buf, err = nn.SearchCtxInto(context.TODO(), paged, q.Center, q.K, nil, buf[:0]); err != nil {
+			return nil, fmt.Errorf("pagedio cross-check %s query %d: %w", kind, qi, err)
+		}
 	}
 	real := store.MissesByLevel()
 	cc := &PagedIOCrossCheck{

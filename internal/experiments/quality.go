@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"blobindex/internal/am"
 	"blobindex/internal/blobworld"
 	"blobindex/internal/gist"
@@ -51,7 +53,10 @@ func Quality(s *Scenario) ([]QualityRow, error) {
 		var recall float64
 		for qi := 0; qi < nq; qi++ {
 			var trace gist.Trace
-			cands := nn.SearchApprox(tree, wl.Queries[qi].Center, s.Params.K, &trace)
+			cands, err := nn.SearchApproxCtxInto(context.TODO(), tree, wl.Queries[qi].Center, s.Params.K, &trace, nil)
+			if err != nil {
+				return nil, err
+			}
 			leafIOs += trace.LeafAccesses()
 			images := make([]int32, 0, len(cands))
 			seen := make(map[int32]bool, len(cands))

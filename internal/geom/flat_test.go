@@ -55,52 +55,6 @@ func TestMinDist2MatchesGeneric(t *testing.T) {
 	}
 }
 
-// minMaxDist2Reference is the pre-optimization implementation, kept verbatim
-// as the oracle for the stack-array fast path.
-func minMaxDist2Reference(r Rect, p Vector) float64 {
-	dim := len(r.Lo)
-	total := 0.0
-	far := make([]float64, dim)
-	near := make([]float64, dim)
-	for i := 0; i < dim; i++ {
-		mid := (r.Lo[i] + r.Hi[i]) / 2
-		var rm, rM float64
-		if p[i] <= mid {
-			rm, rM = r.Lo[i], r.Hi[i]
-		} else {
-			rm, rM = r.Hi[i], r.Lo[i]
-		}
-		near[i] = (p[i] - rm) * (p[i] - rm)
-		far[i] = (p[i] - rM) * (p[i] - rM)
-		total += far[i]
-	}
-	best := math.Inf(1)
-	for k := 0; k < dim; k++ {
-		if d := total - far[k] + near[k]; d < best {
-			best = d
-		}
-	}
-	if dim == 0 {
-		return 0
-	}
-	return best
-}
-
-func TestMinMaxDist2MatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for dim := 1; dim <= 10; dim++ {
-		for trial := 0; trial < 500; trial++ {
-			r := randRect(rng, dim)
-			p := randVec(rng, dim)
-			got := r.MinMaxDist2(p)
-			want := minMaxDist2Reference(r, p)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("dim %d: MinMaxDist2=%v reference=%v", dim, got, want)
-			}
-		}
-	}
-}
-
 // randBites builds a realistic bite set via NibbleBites on random points
 // inside r, plus the occasional hand-made bite to hit degenerate extents.
 func randBites(rng *rand.Rand, r Rect, dim int) []Bite {
@@ -213,7 +167,6 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		{"Dist2Flat", func() { sink += Dist2Flat(q, flat, 3, dim) }},
 		{"Vector.Dist2", func() { sink += p.Dist2(q) }},
 		{"MinDist2", func() { sink += r.MinDist2(p) }},
-		{"MinMaxDist2", func() { sink += r.MinMaxDist2(p) }},
 		{"MinDist2RectMinusBite", func() { sink += MinDist2RectMinusBite(p, r, bites[0]) }},
 		{"MinDist2RectMinusBites", func() { sink += MinDist2RectMinusBites(p, r, bites) }},
 		{"MinDist2JB", func() { sink += MinDist2JB(p, r, bites) }},

@@ -2,7 +2,6 @@ package geom
 
 import (
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -57,25 +56,6 @@ func Dist2FlatBlock(q Vector, flat []float64, dim int, dst []float64) []float64 
 		dist2BlockGeneric(q, flat, dim, out)
 	}
 	return dst[:len(dst)+n]
-}
-
-// MinDist2Block returns the smallest squared distance from q to any key of
-// the dim-strided block flat, and the index of the first key attaining it.
-// An empty block returns (+Inf, -1). Same panics as Dist2FlatBlock.
-func MinDist2Block(q Vector, flat []float64, dim int) (float64, int) {
-	if len(q) != dim {
-		panic(fmt.Sprintf("geom: dimension mismatch %d vs %d", len(q), dim))
-	}
-	if dim <= 0 || len(flat)%dim != 0 {
-		panic(fmt.Sprintf("geom: flat block of %d floats is not a whole number of %d-d keys", len(flat), dim))
-	}
-	best, arg := math.Inf(1), -1
-	for i, o := 0, 0; o < len(flat); i, o = i+1, o+dim {
-		if d := dist2Points(q, flat[o:o+dim:o+dim]); d < best {
-			best, arg = d, i
-		}
-	}
-	return best, arg
 }
 
 // RangeFlatBlock is the range-filter variant: it scores every key of flat

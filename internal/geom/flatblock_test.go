@@ -63,30 +63,6 @@ func TestDist2FlatBlockAppends(t *testing.T) {
 	}
 }
 
-func TestMinDist2BlockMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, dim := range blockDims {
-		for n := 0; n <= 19; n++ {
-			q := randVec(rng, dim)
-			flat := make([]float64, n*dim)
-			for i := range flat {
-				// Coarse values force ties so the first-argmin rule is tested.
-				flat[i] = float64(rng.Intn(3))
-			}
-			got, arg := MinDist2Block(q, flat, dim)
-			want, wantArg := math.Inf(1), -1
-			for i := 0; i < n; i++ {
-				if d := Dist2Flat(q, flat, i, dim); d < want {
-					want, wantArg = d, i
-				}
-			}
-			if math.Float64bits(got) != math.Float64bits(want) || arg != wantArg {
-				t.Fatalf("dim %d n %d: MinDist2Block=(%v,%d) scalar=(%v,%d)", dim, n, got, arg, want, wantArg)
-			}
-		}
-	}
-}
-
 func TestRangeFlatBlockMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, dim := range blockDims {
@@ -182,16 +158,6 @@ func FuzzDist2FlatBlock(f *testing.F) {
 				t.Fatalf("dim %d n %d key %d: block=%v scalar=%v", dim, n, k, got[k], want)
 			}
 		}
-		minD, arg := MinDist2Block(q, flat, dim)
-		wantMin, wantArg := math.Inf(1), -1
-		for k := 0; k < n; k++ {
-			if d := Dist2Flat(q, flat, k, dim); d < wantMin {
-				wantMin, wantArg = d, k
-			}
-		}
-		if math.Float64bits(minD) != math.Float64bits(wantMin) || arg != wantArg {
-			t.Fatalf("dim %d n %d: MinDist2Block=(%v,%d) scalar=(%v,%d)", dim, n, minD, arg, wantMin, wantArg)
-		}
 	})
 }
 
@@ -214,7 +180,6 @@ func TestBlockKernelsDoNotAllocate(t *testing.T) {
 		fn   func()
 	}{
 		{"Dist2FlatBlock", func() { dst = Dist2FlatBlock(q, flat, dim, dst[:0]); sinkF += dst[0] }},
-		{"MinDist2Block", func() { d, a := MinDist2Block(q, flat, dim); sinkF += d; sinkI += a }},
 		{"RangeFlatBlock", func() {
 			idx, dst = RangeFlatBlock(q, flat, dim, float64(dim), idx[:0], dst[:0])
 			sinkI += len(idx)

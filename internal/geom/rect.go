@@ -39,20 +39,6 @@ func (r Rect) Clone() Rect {
 	return Rect{Lo: r.Lo.Clone(), Hi: r.Hi.Clone()}
 }
 
-// Valid reports whether the rectangle is well formed: matching dimensions and
-// Lo ≤ Hi coordinate-wise.
-func (r Rect) Valid() bool {
-	if len(r.Lo) != len(r.Hi) || len(r.Lo) == 0 {
-		return false
-	}
-	for i := range r.Lo {
-		if r.Lo[i] > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports whether r and s cover the identical region.
 func (r Rect) Equal(s Rect) bool {
 	return r.Lo.Equal(s.Lo) && r.Hi.Equal(s.Hi)
@@ -92,16 +78,6 @@ func (r Rect) Contains(p Vector) bool {
 func (r Rect) ContainsRect(s Rect) bool {
 	for i := range r.Lo {
 		if s.Lo[i] < r.Lo[i] || s.Hi[i] > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Overlaps reports whether r and s share any point (boundary inclusive).
-func (r Rect) Overlaps(s Rect) bool {
-	for i := range r.Lo {
-		if r.Hi[i] < s.Lo[i] || s.Hi[i] < r.Lo[i] {
 			return false
 		}
 	}
@@ -249,56 +225,6 @@ func minDist2Generic(lo, hi Vector, p Vector) float64 {
 		sum += d * d
 	}
 	return sum
-}
-
-// MinMaxDist2 returns the squared MINMAXDIST of Roussopoulos et al.: the
-// smallest distance within which a point of the underlying data set is
-// guaranteed, given the MBR property that every face of the rectangle
-// touches at least one data point. For each dimension k the bound assumes
-// the guaranteed point sits on the nearer k-face and at the farther corner
-// in every other dimension; the minimum over k is the bound. It upper
-// bounds the nearest neighbor's distance and drives the branch-and-bound
-// pruning of the depth-first NN search.
-func (r Rect) MinMaxDist2(p Vector) float64 {
-	dim := len(r.Lo)
-	if dim <= 8 {
-		// Stack-allocated scratch: the hot path (dim ≤ 8) must not call make.
-		var farBuf, nearBuf [8]float64
-		return minMaxDist2Into(r, p, farBuf[:dim], nearBuf[:dim])
-	}
-	return minMaxDist2Into(r, p, make([]float64, dim), make([]float64, dim))
-}
-
-// minMaxDist2Into is the MINMAXDIST body; far and near are caller-provided
-// scratch of length dim. Kept as a single implementation so the stack-array
-// fast path is trivially bit-identical to the allocating fallback.
-func minMaxDist2Into(r Rect, p Vector, far, near []float64) float64 {
-	dim := len(r.Lo)
-	// far[i]: squared distance to the farther face in dimension i;
-	// near[i]: squared distance to the nearer face.
-	total := 0.0
-	for i := 0; i < dim; i++ {
-		mid := (r.Lo[i] + r.Hi[i]) / 2
-		var rm, rM float64
-		if p[i] <= mid {
-			rm, rM = r.Lo[i], r.Hi[i]
-		} else {
-			rm, rM = r.Hi[i], r.Lo[i]
-		}
-		near[i] = (p[i] - rm) * (p[i] - rm)
-		far[i] = (p[i] - rM) * (p[i] - rM)
-		total += far[i]
-	}
-	best := math.Inf(1)
-	for k := 0; k < dim; k++ {
-		if d := total - far[k] + near[k]; d < best {
-			best = d
-		}
-	}
-	if dim == 0 {
-		return 0
-	}
-	return best
 }
 
 // MaxDist2 returns the squared distance from p to the farthest point of r.

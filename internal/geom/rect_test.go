@@ -49,12 +49,6 @@ func TestRectOverlapsIntersect(t *testing.T) {
 	a := Rect{Lo: Vector{0, 0}, Hi: Vector{2, 2}}
 	b := Rect{Lo: Vector{1, 1}, Hi: Vector{3, 3}}
 	c := Rect{Lo: Vector{5, 5}, Hi: Vector{6, 6}}
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("a and b should overlap")
-	}
-	if a.Overlaps(c) {
-		t.Error("a and c should not overlap")
-	}
 	inter, ok := a.Intersect(b)
 	if !ok {
 		t.Fatal("intersection should be non-empty")
@@ -66,10 +60,10 @@ func TestRectOverlapsIntersect(t *testing.T) {
 	if _, ok := a.Intersect(c); ok {
 		t.Error("a∩c should be empty")
 	}
-	// Touching rectangles overlap on the shared boundary.
+	// Touching rectangles intersect in their shared boundary.
 	d := Rect{Lo: Vector{2, 0}, Hi: Vector{3, 2}}
-	if !a.Overlaps(d) {
-		t.Error("touching rects should overlap")
+	if edge, ok := a.Intersect(d); !ok || edge.Volume() != 0 {
+		t.Errorf("touching rects: Intersect = %v, %v; want a zero-volume face", edge, ok)
 	}
 }
 
@@ -151,21 +145,6 @@ func TestPairVolume(t *testing.T) {
 	c := Rect{Lo: Vector{5, 5}, Hi: Vector{6, 6}} // vol 1, disjoint
 	if got := PairVolume(a, c); got != 5 {
 		t.Errorf("PairVolume disjoint = %v, want 5", got)
-	}
-}
-
-func TestRectValid(t *testing.T) {
-	if !(Rect{Lo: Vector{0}, Hi: Vector{1}}).Valid() {
-		t.Error("valid rect reported invalid")
-	}
-	if (Rect{Lo: Vector{2}, Hi: Vector{1}}).Valid() {
-		t.Error("inverted rect reported valid")
-	}
-	if (Rect{Lo: Vector{0, 0}, Hi: Vector{1}}).Valid() {
-		t.Error("dim-mismatched rect reported valid")
-	}
-	if (Rect{}).Valid() {
-		t.Error("empty rect reported valid")
 	}
 }
 

@@ -48,12 +48,6 @@ func (s Sphere) MinDist2(p Vector) float64 {
 	return d * d
 }
 
-// MaxDist2 returns the squared distance from p to the farthest point of s.
-func (s Sphere) MaxDist2(p Vector) float64 {
-	d := s.Center.Dist(p) + s.Radius
-	return d * d
-}
-
 // Union returns a sphere containing both s and t. The result is the minimal
 // sphere containing the two input spheres (not of the underlying points,
 // which are no longer available), matching SS-tree maintenance.

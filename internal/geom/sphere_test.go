@@ -28,9 +28,6 @@ func TestSphereMinMaxDist(t *testing.T) {
 	if got := s.MinDist2(Vector{0.5, 0}); got != 0 {
 		t.Errorf("MinDist2 inside = %v, want 0", got)
 	}
-	if got := s.MaxDist2(Vector{3, 0}); got != 16 {
-		t.Errorf("MaxDist2 = %v, want 16", got)
-	}
 }
 
 func TestSphereContains(t *testing.T) {

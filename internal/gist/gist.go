@@ -342,42 +342,6 @@ func (t *Tree) NumLeaves() int {
 	return total
 }
 
-// LevelStat summarizes one tree level.
-type LevelStat struct {
-	Level   int
-	Nodes   int
-	Entries int
-	// MeanFill is the mean entries-per-node divided by the level's
-	// capacity (leaf or inner).
-	MeanFill float64
-}
-
-// LevelStats returns per-level node counts and fill factors, root level
-// first. It is the numeric form of the paper's structural observations
-// (§5: "the root node had only 24 children, and space for about 80").
-func (t *Tree) LevelStats() []LevelStat {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	stats := make([]LevelStat, t.height)
-	_ = t.walkID(t.rootID, nil, func(n *Node, _ Predicate) {
-		s := &stats[t.height-1-n.level]
-		s.Level = n.level
-		s.Nodes++
-		s.Entries += n.NumEntries()
-	})
-	for i := range stats {
-		capEntries := t.innerCap
-		if stats[i].Level == 0 {
-			capEntries = t.leafCap
-		}
-		if stats[i].Nodes > 0 {
-			stats[i].MeanFill = float64(stats[i].Entries) /
-				float64(stats[i].Nodes) / float64(capEntries)
-		}
-	}
-	return stats
-}
-
 // Walk visits every node in depth-first pre-order, pinning each page for
 // the duration of its visit. It is intended for analysis tooling; fn must
 // not mutate the tree. The error is the first store failure, if any.

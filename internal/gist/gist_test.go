@@ -374,47 +374,6 @@ func TestWalkVisitsAllNodes(t *testing.T) {
 	}
 }
 
-func TestLevelStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pts := randomPoints(rng, 2000, 2)
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Key[0] < pts[j].Key[0] })
-	tr, err := BulkLoad(mbrExt{}, Config{Dim: 2, PageSize: 1024}, pts, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := tr.LevelStats()
-	if len(stats) != tr.Height() {
-		t.Fatalf("stats for %d levels, height %d", len(stats), tr.Height())
-	}
-	// Root first, leaf last.
-	if stats[0].Level != tr.Height()-1 || stats[len(stats)-1].Level != 0 {
-		t.Errorf("level ordering wrong: %+v", stats)
-	}
-	if stats[0].Nodes != 1 {
-		t.Errorf("root level has %d nodes", stats[0].Nodes)
-	}
-	var leaves, entries int
-	for _, s := range stats {
-		if s.MeanFill < 0 || s.MeanFill > 1+1e-9 {
-			t.Errorf("level %d fill %f out of range", s.Level, s.MeanFill)
-		}
-		if s.Level == 0 {
-			leaves = s.Nodes
-			entries = s.Entries
-		}
-	}
-	if leaves != tr.NumLeaves() {
-		t.Errorf("leaf count %d != NumLeaves %d", leaves, tr.NumLeaves())
-	}
-	if entries != tr.Len() {
-		t.Errorf("leaf entries %d != Len %d", entries, tr.Len())
-	}
-	// Bulk load at fill 1.0 packs leaves nearly full.
-	if stats[len(stats)-1].MeanFill < 0.9 {
-		t.Errorf("leaf fill %f after full bulk load", stats[len(stats)-1].MeanFill)
-	}
-}
-
 func TestInsertAfterBulkLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	pts := randomPoints(rng, 600, 2)

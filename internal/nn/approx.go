@@ -7,9 +7,9 @@ import (
 	"blobindex/internal/gist"
 )
 
-// SearchApprox implements the Blobworld access-method query of paper §2.3:
-// a "quick and dirty" estimate of the k nearest neighbors. The tree is
-// descended best-first on the bounding predicates' MinDist2 — but unlike
+// SearchApproxCtxInto implements the Blobworld access-method query of paper
+// §2.3: a "quick and dirty" estimate of the k nearest neighbors. The tree
+// is descended best-first on the bounding predicates' MinDist2 — but unlike
 // the exact search, every visited leaf is harvested wholesale and the
 // search stops as soon as k candidates have been gathered; the k nearest of
 // the harvest are returned.
@@ -22,21 +22,8 @@ import (
 // directly on predicate quality: an access method whose predicates rank the
 // truly-relevant leaves first stops after ~k/leafsize I/Os, which is how
 // the paper's JB tree executes 200-NN queries in barely more than two leaf
-// reads while the R-tree wanders through excess leaves (§6).
-func SearchApprox(t *gist.Tree, q geom.Vector, k int, trace *gist.Trace) []Result {
-	res, _ := SearchApproxCtx(nil, t, q, k, trace)
-	return res
-}
-
-// SearchApproxCtx is SearchApprox with cancellation: once ctx is done the
-// harvest stops and ctx's error is returned.
-func SearchApproxCtx(ctx context.Context, t *gist.Tree, q geom.Vector, k int, trace *gist.Trace) ([]Result, error) {
-	return SearchApproxCtxInto(ctx, t, q, k, trace, nil)
-}
-
-// SearchApproxCtxInto is SearchApproxCtx appending the results to dst and
-// returning the extended slice. On error dst is returned truncated to its
-// original length.
+// reads while the R-tree wanders through excess leaves (§6). Results are
+// appended to dst as for every engine in this package.
 func SearchApproxCtxInto(ctx context.Context, t *gist.Tree, q geom.Vector, k int, trace *gist.Trace, dst []Result) ([]Result, error) {
 	base := len(dst)
 	if k <= 0 || t.Len() == 0 {

@@ -9,11 +9,11 @@ import (
 	"blobindex/internal/page"
 )
 
-// SearchExpanding implements nearest-neighbor search the way the paper's
-// access methods execute it: "Nearest neighbor queries work by finding
-// points within a given distance of the query point, in essence asking
-// expanding sphere queries" (§5). The GiST SEARCH template only answers
-// predicate (range) queries, so k-NN is:
+// SearchExpandingCtxInto implements nearest-neighbor search the way the
+// paper's access methods execute it: "Nearest neighbor queries work by
+// finding points within a given distance of the query point, in essence
+// asking expanding sphere queries" (§5). The GiST SEARCH template only
+// answers predicate (range) queries, so k-NN is:
 //
 //  1. a greedy probe from the root to the most promising leaf, whose
 //     contents furnish an initial radius estimate (the distance to the
@@ -29,21 +29,9 @@ import (
 // current sphere, so predicates with empty-corner excess (plain MBRs) pay
 // for it on every sphere, which is the effect the paper's analysis
 // measures and the JB/XJB predicates remove.
-func SearchExpanding(t *gist.Tree, q geom.Vector, k int, trace *gist.Trace) []Result {
-	res, _ := SearchExpandingCtx(nil, t, q, k, trace)
-	return res
-}
-
-// SearchExpandingCtx is SearchExpanding with cancellation: once ctx is done
-// the traversal stops and ctx's error is returned. A nil ctx means no
-// cancellation.
-func SearchExpandingCtx(ctx context.Context, t *gist.Tree, q geom.Vector, k int, trace *gist.Trace) ([]Result, error) {
-	return SearchExpandingCtxInto(ctx, t, q, k, trace, nil)
-}
-
-// SearchExpandingCtxInto is SearchExpandingCtx appending the results to dst
-// and returning the extended slice. On error dst is returned truncated to
-// its original length.
+//
+// Results are appended to dst; see the package documentation for the dst,
+// trace and ctx contract.
 func SearchExpandingCtxInto(ctx context.Context, t *gist.Tree, q geom.Vector, k int, trace *gist.Trace, dst []Result) ([]Result, error) {
 	base := len(dst)
 	total := t.Len()
@@ -132,7 +120,7 @@ func SearchExpandingCtxInto(ctx context.Context, t *gist.Tree, q geom.Vector, k 
 	}
 }
 
-// SearchSphere executes one k-NN query as a single range query at the
+// SearchSphereCtxInto executes one k-NN query as a single range query at the
 // query's true k-th-neighbor radius: the radius is first computed exactly
 // (without I/O accounting), then one range descent visits every subtree
 // whose bounding predicate intersects that sphere. This is the idealized
@@ -141,20 +129,8 @@ func SearchExpandingCtxInto(ctx context.Context, t *gist.Tree, q geom.Vector, k 
 // quality: a leaf is read iff its predicate intersects the query sphere,
 // and the read is excess iff the leaf holds no point inside the sphere.
 // It is the default execution model of the amdb analysis in this
-// reproduction.
-func SearchSphere(t *gist.Tree, q geom.Vector, k int, trace *gist.Trace) []Result {
-	res, _ := SearchSphereCtx(nil, t, q, k, trace)
-	return res
-}
-
-// SearchSphereCtx is SearchSphere with cancellation.
-func SearchSphereCtx(ctx context.Context, t *gist.Tree, q geom.Vector, k int, trace *gist.Trace) ([]Result, error) {
-	return SearchSphereCtxInto(ctx, t, q, k, trace, nil)
-}
-
-// SearchSphereCtxInto is SearchSphereCtx appending the results to dst and
-// returning the extended slice. On error dst is returned truncated to its
-// original length.
+// reproduction. Results are appended to dst as for every engine in this
+// package.
 func SearchSphereCtxInto(ctx context.Context, t *gist.Tree, q geom.Vector, k int, trace *gist.Trace, dst []Result) ([]Result, error) {
 	base := len(dst)
 	if k <= 0 || t.Len() == 0 {
@@ -189,30 +165,10 @@ func SearchSphereCtxInto(ctx context.Context, t *gist.Tree, q geom.Vector, k int
 	return out, nil
 }
 
-// Range returns every point within squared distance radius2 of q, nearest
-// first, visiting exactly the subtrees whose bounding predicate intersects
-// the query sphere.
-func Range(t *gist.Tree, q geom.Vector, radius2 float64, trace *gist.Trace) []Result {
-	res, _ := RangeCtx(nil, t, q, radius2, trace)
-	return res
-}
-
-// RangeInto is Range appending the results to dst and returning the
-// extended slice.
-func RangeInto(t *gist.Tree, q geom.Vector, radius2 float64, trace *gist.Trace, dst []Result) []Result {
-	out, _ := RangeCtxInto(nil, t, q, radius2, trace, dst)
-	return out
-}
-
-// RangeCtx is Range with cancellation: once ctx is done mid-traversal the
-// descent stops and ctx's error is returned.
-func RangeCtx(ctx context.Context, t *gist.Tree, q geom.Vector, radius2 float64, trace *gist.Trace) ([]Result, error) {
-	return RangeCtxInto(ctx, t, q, radius2, trace, nil)
-}
-
-// RangeCtxInto is RangeCtx appending the results to dst and returning the
-// extended slice. On error dst is returned truncated to its original
-// length.
+// RangeCtxInto appends every point within squared distance radius2 of q to
+// dst, nearest first, visiting exactly the subtrees whose bounding predicate
+// intersects the query sphere. An empty tree returns dst unchanged; see the
+// package documentation for the rest of the contract.
 func RangeCtxInto(ctx context.Context, t *gist.Tree, q geom.Vector, radius2 float64, trace *gist.Trace, dst []Result) ([]Result, error) {
 	base := len(dst)
 	if t.Len() == 0 {

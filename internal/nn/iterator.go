@@ -17,24 +17,23 @@ import (
 // Blobworld front end cheap, and what lets the same code serve demand-paged
 // on-disk indexes within a bounded buffer pool.
 //
-// A public Iterator takes the tree's read lock for the duration of each
+// An Iterator takes the tree's read lock for the duration of each
 // Next/NextWithin call, so concurrent iterators and searches coexist with
 // a single writer. The frontier it accumulates between calls is not
 // writer-proof, however: a mutation between calls can reorganize or free
 // pages the queue still references, so an Iterator must not be used across
 // modifications of the tree. An Iterator itself is single-goroutine state.
 type Iterator struct {
-	tree     *gist.Tree
-	store    gist.NodeStore
-	query    geom.Vector
-	trace    *gist.Trace
-	ctx      context.Context // nil: never canceled
-	err      error           // sticky ctx or store error once failed
-	selfLock bool            // public iterators lock per call; search funcs hold the lock themselves
-	queue    pq
-	seq      int
-	dists    []float64       // whole-leaf block-scoring scratch
-	pf       gist.Prefetcher // non-nil when the store can warm pages ahead
+	tree  *gist.Tree
+	store gist.NodeStore
+	query geom.Vector
+	trace *gist.Trace
+	ctx   context.Context // nil: never canceled
+	err   error           // sticky ctx or store error once failed
+	queue pq
+	seq   int
+	dists []float64       // whole-leaf block-scoring scratch
+	pf    gist.Prefetcher // non-nil when the store can warm pages ahead
 }
 
 // prefetchWidth is how many frontier entries past the immediate top get a
@@ -44,16 +43,11 @@ type Iterator struct {
 const prefetchWidth = 3
 
 // NewIterator starts an incremental nearest-neighbor scan from q. If trace
-// is non-nil every page read is recorded as the iteration proceeds.
-func NewIterator(t *gist.Tree, q geom.Vector, trace *gist.Trace) *Iterator {
-	return NewIteratorCtx(nil, t, q, trace)
-}
-
-// NewIteratorCtx is NewIterator with cancellation: once ctx is done, Next
-// and NextWithin return ok == false and Err reports the cause. A nil ctx
-// means no cancellation.
-func NewIteratorCtx(ctx context.Context, t *gist.Tree, q geom.Vector, trace *gist.Trace) *Iterator {
-	it := &Iterator{tree: t, store: t.Store(), query: q, trace: trace, ctx: ctx, selfLock: true}
+// is non-nil every page read is recorded as the iteration proceeds. Once ctx
+// is done, Next and NextWithin return ok == false and Err reports the cause;
+// a nil ctx means no cancellation.
+func NewIterator(ctx context.Context, t *gist.Tree, q geom.Vector, trace *gist.Trace) *Iterator {
+	it := &Iterator{tree: t, store: t.Store(), query: q, trace: trace, ctx: ctx}
 	it.pf, _ = it.store.(gist.Prefetcher)
 	if t.Len() > 0 {
 		t.RLock()
@@ -143,14 +137,8 @@ func (it *Iterator) expand(top item) bool {
 // exhausted, the iterator's context is canceled, or a page read failed
 // (see Err).
 func (it *Iterator) Next() (Result, bool) {
-	if it.selfLock {
-		it.tree.RLock()
-		defer it.tree.RUnlock()
-	}
-	return it.next()
-}
-
-func (it *Iterator) next() (Result, bool) {
+	it.tree.RLock()
+	defer it.tree.RUnlock()
 	for len(it.queue) > 0 {
 		if it.canceled() {
 			return Result{}, false
@@ -170,14 +158,8 @@ func (it *Iterator) next() (Result, bool) {
 // distance radius2; otherwise it reports ok == false without consuming it
 // (subsequent calls with a larger radius continue the scan).
 func (it *Iterator) NextWithin(radius2 float64) (Result, bool) {
-	if it.selfLock {
-		it.tree.RLock()
-		defer it.tree.RUnlock()
-	}
-	return it.nextWithin(radius2)
-}
-
-func (it *Iterator) nextWithin(radius2 float64) (Result, bool) {
+	it.tree.RLock()
+	defer it.tree.RUnlock()
 	for len(it.queue) > 0 {
 		if it.canceled() {
 			return Result{}, false

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -16,8 +17,8 @@ func TestIteratorMatchesSearch(t *testing.T) {
 		tree := buildTree(t, kind, pts, 3)
 		for trial := 0; trial < 10; trial++ {
 			q := geom.Vector{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
-			want := Search(tree, q, 30, nil)
-			it := NewIterator(tree, q, nil)
+			want := search(t, SearchCtxInto, tree, q, 30, nil)
+			it := NewIterator(context.Background(), tree, q, nil)
 			for i, w := range want {
 				got, ok := it.Next()
 				if !ok {
@@ -35,7 +36,7 @@ func TestIteratorExhaustsTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	pts := randomPoints(rng, 321, 2)
 	tree := buildTree(t, am.KindRTree, pts, 2)
-	it := NewIterator(tree, geom.Vector{0, 0}, nil)
+	it := NewIterator(context.Background(), tree, geom.Vector{0, 0}, nil)
 	count := 0
 	prev := -1.0
 	for {
@@ -63,7 +64,7 @@ func TestIteratorEmptyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := NewIterator(tree, geom.Vector{1, 1}, nil)
+	it := NewIterator(context.Background(), tree, geom.Vector{1, 1}, nil)
 	if _, ok := it.Next(); ok {
 		t.Error("empty tree yielded a result")
 	}
@@ -76,7 +77,7 @@ func TestIteratorLazyIO(t *testing.T) {
 	pts := randomPoints(rng, 5000, 3)
 	tree := buildTree(t, am.KindRTree, pts, 3)
 	var trace gist.Trace
-	it := NewIterator(tree, pts[77].Key, &trace)
+	it := NewIterator(context.Background(), tree, pts[77].Key, &trace)
 	for i := 0; i < 5; i++ {
 		if _, ok := it.Next(); !ok {
 			t.Fatal("iterator exhausted early")
@@ -93,7 +94,7 @@ func TestIteratorNextWithin(t *testing.T) {
 	tree := buildTree(t, am.KindRTree, pts, 2)
 	q := geom.Vector{50, 50}
 
-	it := NewIterator(tree, q, nil)
+	it := NewIterator(context.Background(), tree, q, nil)
 	var got []Result
 	for {
 		r, ok := it.NextWithin(25) // radius 5

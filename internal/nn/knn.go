@@ -73,10 +73,10 @@ func nodeLess(a, b nodeItem) bool {
 
 // npq is a 4-ary min-heap of frontier nodes ordered by (d, seq) — the
 // subtree part of the classic single-queue order, which is all the bounded
-// search and the wholesale harvest of SearchApprox need. Four-way branching
-// halves the sift depth and keeps a parent's children in adjacent slots;
-// since (d, seq) keys are unique, the pop sequence is the same as any other
-// heap arity's, so layout is a pure performance choice.
+// search and the wholesale harvest of SearchApproxCtxInto need. Four-way
+// branching halves the sift depth and keeps a parent's children in adjacent
+// slots; since (d, seq) keys are unique, the pop sequence is the same as any
+// other heap arity's, so layout is a pure performance choice.
 type npq []nodeItem
 
 func (q *npq) push(x nodeItem) {

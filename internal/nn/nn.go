@@ -1,24 +1,47 @@
-// Package nn implements exact k-nearest-neighbor search over a GiST using
-// the best-first (incremental) algorithm of Hjaltason and Samet: a single
-// priority queue holds both unexplored subtrees, ordered by the extension's
-// admissible MinDist2 lower bound, and already-seen data points, ordered by
-// their true distance. Popping the queue in distance order yields neighbors
-// incrementally and visits provably no more nodes than any algorithm using
-// the same bounds — in essence the "expanding sphere" query of paper §5.
+// Package nn implements the query engines the amdb analysis runs over a
+// GiST, one entry point each:
 //
-// Because every Extension's MinDist2 is admissible (it never overestimates
-// the distance to data under the predicate; see the property tests in
-// internal/geom and internal/am), the search is exact for all six access
-// methods, including JB and XJB whose corner bites tighten the bound.
+//   - SearchCtxInto: exact k-NN by the best-first (incremental) algorithm of
+//     Hjaltason and Samet, the serving path;
+//   - SearchExpandingCtxInto: k-NN as the paper's access methods execute it,
+//     a greedy probe followed by doubling range queries (§5);
+//   - SearchSphereCtxInto: k-NN as one range query at the true k-th-neighbor
+//     radius — the idealized sphere of Figure 9 and the default amdb mode;
+//   - SearchApproxCtxInto: the approximate candidate harvest of §2.3;
+//   - RangeCtxInto: every point within a squared radius.
+//
+// Iterator is the incremental form of the best-first search, and BruteForce
+// the exact oracle the others are tested against.
+//
+// The best-first search orders unexplored subtrees by the extension's
+// admissible MinDist2 lower bound; popping them in distance order yields
+// neighbors incrementally and visits provably no more nodes than any
+// algorithm using the same bounds — in essence the "expanding sphere" query
+// of paper §5. Because every Extension's MinDist2 is admissible (it never
+// overestimates the distance to data under the predicate; see the property
+// tests in internal/geom and internal/am), every exact engine is exact for
+// all six access methods, including JB and XJB whose corner bites tighten
+// the bound.
+//
+// Every engine has the shape (ctx, tree, q, k or radius2, trace, dst) and
+// returns (results, error):
+//
+//   - results are appended to dst, nearest first, and the extended slice is
+//     returned; a caller-reused dst is what lets a replay loop run whole
+//     workloads without per-query allocation;
+//   - a non-nil trace records every node whose page the search reads, in
+//     read order;
+//   - ctx cancels mid-traversal, checked once per visited node (nil means
+//     no cancellation); on a context or page-store error dst is returned
+//     truncated to its original length;
+//   - k <= 0 or an empty tree returns dst unchanged, with ctx's error if it
+//     is already done and nil otherwise.
 //
 // Every search borrows its frontier and traversal scratch from a
 // package-level sync.Pool for the duration of one call (see searchScratch),
 // so steady-state queries allocate nothing, and holds the tree's read lock
 // while touching nodes, so any number of searches run concurrently with
-// each other and with a single writer. The Ctx variants additionally honor
-// context cancellation mid-traversal, checked once per visited node. The
-// Into variants append into a caller-supplied result buffer, which is what
-// lets a replay loop run whole workloads without per-query allocation.
+// each other and with a single writer.
 package nn
 
 import (
@@ -55,43 +78,11 @@ type item struct {
 // in scratch.go.
 type pq []item
 
-// Search returns the k nearest neighbors of q in the tree, nearest first.
-// Fewer than k results are returned when the tree holds fewer points. If
-// trace is non-nil, every node whose page the search reads is recorded, in
-// read order. The tree's read lock is held for the duration, so searches
-// run concurrently with each other and serialize against writers.
-func Search(t *gist.Tree, q geom.Vector, k int, trace *gist.Trace) []Result {
-	res, _ := SearchCtx(nil, t, q, k, trace)
-	return res
-}
-
-// SearchInto is Search appending the results to dst and returning the
-// extended slice; passing a reused buffer keeps the steady-state query path
-// allocation-free.
-func SearchInto(t *gist.Tree, q geom.Vector, k int, trace *gist.Trace, dst []Result) []Result {
-	out, _ := SearchCtxInto(nil, t, q, k, trace, dst)
-	return out
-}
-
-// SearchCtx is Search with cancellation: once ctx is done mid-traversal the
-// search stops reading pages and returns ctx's error. A nil ctx means no
-// cancellation.
-func SearchCtx(ctx context.Context, t *gist.Tree, q geom.Vector, k int, trace *gist.Trace) ([]Result, error) {
-	if k <= 0 || t.Len() == 0 {
-		return nil, ctxErr(ctx)
-	}
-	out, err := SearchCtxInto(ctx, t, q, k, trace, make([]Result, 0, k))
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SearchCtxInto is SearchCtx appending the results to dst and returning the
-// extended slice. On error dst is returned truncated to its original
-// length. The engine is the two-heap bounded best-first search of knn.go,
-// output-identical to the incremental Iterator but without per-point
-// priority-queue traffic.
+// SearchCtxInto appends the k nearest neighbors of q in the tree to dst,
+// nearest first; fewer than k when the tree holds fewer points. The engine
+// is the two-heap bounded best-first search of knn.go, output-identical to
+// the incremental Iterator but without per-point priority-queue traffic.
+// See the package documentation for the dst, trace and ctx contract.
 func SearchCtxInto(ctx context.Context, t *gist.Tree, q geom.Vector, k int, trace *gist.Trace, dst []Result) ([]Result, error) {
 	base := len(dst)
 	if k <= 0 || t.Len() == 0 {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -44,6 +45,20 @@ func buildTree(t testing.TB, kind am.Kind, pts []gist.Point, dim int) *gist.Tree
 	return tree
 }
 
+// knnEngine is the shape of every k-NN engine in this package.
+type knnEngine func(context.Context, *gist.Tree, geom.Vector, int, *gist.Trace, []Result) ([]Result, error)
+
+// search runs a k-NN engine into a fresh result slice with no cancellation,
+// failing the test on error.
+func search(tb testing.TB, engine knnEngine, tree *gist.Tree, q geom.Vector, k int, trace *gist.Trace) []Result {
+	tb.Helper()
+	res, err := engine(context.Background(), tree, q, k, trace, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 // Exactness: for every access method, index k-NN must return exactly the
 // brute-force k-NN (same RIDs in the same distance order).
 func TestSearchExactAllAMs(t *testing.T) {
@@ -55,7 +70,7 @@ func TestSearchExactAllAMs(t *testing.T) {
 			for trial := 0; trial < 15; trial++ {
 				q := geom.Vector{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
 				k := 1 + rng.Intn(50)
-				got := Search(tree, q, k, nil)
+				got := search(t, SearchCtxInto, tree, q, k, nil)
 				want := BruteForce(pts, q, k)
 				if len(got) != len(want) {
 					t.Fatalf("got %d results, want %d", len(got), len(want))
@@ -75,7 +90,7 @@ func TestSearchReturnsAllWhenKExceedsN(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	pts := randomPoints(rng, 57, 2)
 	tree := buildTree(t, am.KindRTree, pts, 2)
-	got := Search(tree, geom.Vector{0, 0}, 1000, nil)
+	got := search(t, SearchCtxInto, tree, geom.Vector{0, 0}, 1000, nil)
 	if len(got) != 57 {
 		t.Errorf("got %d results, want all 57", len(got))
 	}
@@ -91,17 +106,17 @@ func TestSearchEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	pts := randomPoints(rng, 100, 2)
 	tree := buildTree(t, am.KindRTree, pts, 2)
-	if got := Search(tree, geom.Vector{1, 1}, 0, nil); got != nil {
+	if got := search(t, SearchCtxInto, tree, geom.Vector{1, 1}, 0, nil); got != nil {
 		t.Error("k=0 should return nil")
 	}
-	if got := Search(tree, geom.Vector{1, 1}, -5, nil); got != nil {
+	if got := search(t, SearchCtxInto, tree, geom.Vector{1, 1}, -5, nil); got != nil {
 		t.Error("negative k should return nil")
 	}
 	empty, err := gist.New(tree.Ext(), gist.Config{Dim: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Search(empty, geom.Vector{1, 1}, 3, nil); got != nil {
+	if got := search(t, SearchCtxInto, empty, geom.Vector{1, 1}, 3, nil); got != nil {
 		t.Error("empty tree should return nil")
 	}
 }
@@ -111,7 +126,7 @@ func TestSearchTraceAndLeafAttribution(t *testing.T) {
 	pts := randomPoints(rng, 2000, 2)
 	tree := buildTree(t, am.KindRTree, pts, 2)
 	var trace gist.Trace
-	res := Search(tree, geom.Vector{50, 50}, 20, &trace)
+	res := search(t, SearchCtxInto, tree, geom.Vector{50, 50}, 20, &trace)
 	if len(res) != 20 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -136,7 +151,7 @@ func TestSearchIsSelective(t *testing.T) {
 	pts := randomPoints(rng, 5000, 3)
 	tree := buildTree(t, am.KindRTree, pts, 3)
 	var trace gist.Trace
-	Search(tree, geom.Vector{50, 50, 50}, 10, &trace)
+	search(t, SearchCtxInto, tree, geom.Vector{50, 50, 50}, 10, &trace)
 	leaves := tree.NumLeaves()
 	if trace.LeafAccesses() > leaves/4 {
 		t.Errorf("10-NN touched %d of %d leaves", trace.LeafAccesses(), leaves)
@@ -209,8 +224,8 @@ func TestJBSelectivityVsRTree(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		q := geom.Vector{rng.Float64() * 100, rng.Float64() * 100}
 		var rtTrace, jbTrace gist.Trace
-		rres := Search(rt, q, 20, &rtTrace)
-		jres := Search(jb, q, 20, &jbTrace)
+		rres := search(t, SearchCtxInto, rt, q, 20, &rtTrace)
+		jres := search(t, SearchCtxInto, jb, q, 20, &jbTrace)
 		for i := range rres {
 			if rres[i].Dist2 != jres[i].Dist2 {
 				t.Fatalf("JB and R-tree disagree at %d: %.9f vs %.9f",

@@ -13,7 +13,7 @@ import (
 // sync.Pool; a search borrows one for the duration of a single call, so
 // scratch never crosses goroutines.
 type searchScratch struct {
-	nqueue  npq // node frontier heap (knnSearch and SearchApprox)
+	nqueue  npq // node frontier heap (knnSearch and SearchApproxCtxInto)
 	stack   []page.PageID
 	dists   []float64
 	idx     []int32   // range-filter survivor indices (RangeFlatBlock)

@@ -76,8 +76,8 @@ func TestPinRetriesTransientFaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 5; trial++ {
 		q := geom.Vector{rng.Float64() * 100, rng.Float64() * 100}
-		want := nn.Search(tree, q, 30, nil)
-		got, err := nn.SearchCtx(context.Background(), paged, q, 30, nil)
+		want := knn(t, tree, q, 30, nil)
+		got, err := nn.SearchCtxInto(context.Background(), paged, q, 30, nil, nil)
 		if err != nil {
 			t.Fatalf("trial %d: search failed despite retries: %v", trial, err)
 		}
@@ -130,7 +130,7 @@ func TestPinGivesUpAfterBoundedRetries(t *testing.T) {
 	}
 	defer store.Close()
 
-	_, err = nn.SearchCtx(context.Background(), paged, geom.Vector{50, 50}, 10, nil)
+	_, err = nn.SearchCtxInto(context.Background(), paged, geom.Vector{50, 50}, 10, nil, nil)
 	if err == nil {
 		t.Fatal("search succeeded against a permanently failing file")
 	}
@@ -167,7 +167,7 @@ func TestCorruptReadFailsWithChecksumNoRetry(t *testing.T) {
 	}
 	defer store.Close()
 
-	_, err = nn.SearchCtx(context.Background(), paged, geom.Vector{50, 50}, 10, nil)
+	_, err = nn.SearchCtxInto(context.Background(), paged, geom.Vector{50, 50}, 10, nil, nil)
 	if err == nil {
 		t.Fatal("search succeeded over always-corrupting reads")
 	}
@@ -196,7 +196,7 @@ func TestSaveCrashMidSaveKeepsOldIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := queryDigest(t, func(q geom.Vector, k int) []nn.Result {
-		return nn.Search(tree, q, k, nil)
+		return knn(t, tree, q, k, nil)
 	})
 
 	// The bytes a *newer* Save would have written: mutate a copy of the
@@ -231,7 +231,7 @@ func TestSaveCrashMidSaveKeepsOldIndex(t *testing.T) {
 			t.Fatalf("trial %d (cut %d): previous index unreadable: %v", trial, cut, err)
 		}
 		digest := queryDigest(t, func(q geom.Vector, k int) []nn.Result {
-			return nn.Search(loaded, q, k, nil)
+			return knn(t, loaded, q, k, nil)
 		})
 		if digest != golden {
 			t.Fatalf("trial %d (cut %d): workload digest changed: %x != %x",
@@ -279,7 +279,7 @@ func TestSaveErrorPathsCleanUp(t *testing.T) {
 	if err := Save(path, tree); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nn.SearchCtx(context.Background(), paged, geom.Vector{50, 50}, 10, nil); err != nil {
+	if _, err := nn.SearchCtxInto(context.Background(), paged, geom.Vector{50, 50}, 10, nil, nil); err != nil {
 		t.Errorf("open handle broken by overwriting Save: %v", err)
 	}
 }
@@ -349,8 +349,12 @@ func TestEvictAllRacesActiveSearches(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < queriesPerSearcher; i++ {
 				q := geom.Vector{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
-				want := nn.Search(tree, q, 25, nil)
-				got, err := nn.SearchCtx(context.Background(), paged, q, 25, nil)
+				want, err := nn.SearchCtxInto(context.Background(), tree, q, 25, nil, nil)
+				if err != nil {
+					errCh <- err
+					return
+				}
+				got, err := nn.SearchCtxInto(context.Background(), paged, q, 25, nil, nil)
 				if err != nil {
 					errCh <- err
 					return

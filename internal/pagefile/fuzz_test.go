@@ -2,6 +2,7 @@ package pagefile
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
@@ -152,8 +153,8 @@ func FuzzOpenPaged(f *testing.F) {
 		}
 		defer store.Close()
 		// Drive a query through the lazy pin path; corrupt pages surface as
-		// pin errors (empty results), never panics.
-		nn.Search(paged, geom.Vector{50, 50}, 10, nil)
+		// pin errors, never panics.
+		_, _ = nn.SearchCtxInto(context.Background(), paged, geom.Vector{50, 50}, 10, nil, nil)
 		st := store.PoolStats()
 		if st.Pinned != 0 {
 			t.Fatalf("query left %d pages pinned", st.Pinned)

@@ -453,7 +453,3 @@ func trimZero(b []byte) string {
 	}
 	return string(b)
 }
-
-// FileSizePages returns the number of pages (including the header) a saved
-// tree occupies, for reporting.
-func FileSizePages(t *gist.Tree) int { return t.NumPages() + 1 }

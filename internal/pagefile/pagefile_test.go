@@ -1,6 +1,7 @@
 package pagefile
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -44,6 +45,17 @@ func buildTree(t *testing.T, kind am.Kind, n, dim, pageSize int) (*gist.Tree, []
 	return tree, pts
 }
 
+// knn runs the exact best-first search into a fresh slice, failing the test
+// on error.
+func knn(t *testing.T, tree *gist.Tree, q geom.Vector, k int, trace *gist.Trace) []nn.Result {
+	t.Helper()
+	res, err := nn.SearchCtxInto(context.Background(), tree, q, k, trace, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // Round trip every access method: structure, integrity and search results
 // must survive persistence.
 func TestSaveLoadRoundTripAllAMs(t *testing.T) {
@@ -75,8 +87,8 @@ func TestSaveLoadRoundTripAllAMs(t *testing.T) {
 			for trial := 0; trial < 10; trial++ {
 				q := geom.Vector{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
 				var t1, t2 gist.Trace
-				r1 := nn.Search(tree, q, 20, &t1)
-				r2 := nn.Search(loaded, q, 20, &t2)
+				r1 := knn(t, tree, q, 20, &t1)
+				r2 := knn(t, loaded, q, 20, &t2)
 				if len(r1) != len(r2) {
 					t.Fatalf("result counts differ")
 				}
@@ -183,13 +195,6 @@ func TestLoadRejectsCorruption(t *testing.T) {
 func TestLoadMissingFile(t *testing.T) {
 	if _, err := Load("/nonexistent/path.idx", am.Options{}); err == nil {
 		t.Error("missing file should error")
-	}
-}
-
-func TestFileSizePages(t *testing.T) {
-	tree, _ := buildTree(t, am.KindRTree, 300, 2, 1024)
-	if got := FileSizePages(tree); got != tree.NumPages()+1 {
-		t.Errorf("FileSizePages = %d", got)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"blobindex/internal/am"
 	"blobindex/internal/geom"
 	"blobindex/internal/gist"
-	"blobindex/internal/nn"
 	"blobindex/internal/page"
 )
 
@@ -40,8 +39,8 @@ func TestOpenPagedMatchesInMemory(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			for trial := 0; trial < 8; trial++ {
 				q := geom.Vector{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
-				want := nn.Search(tree, q, 200, nil)
-				got := nn.Search(paged, q, 200, nil)
+				want := knn(t, tree, q, 200, nil)
+				got := knn(t, paged, q, 200, nil)
 				if len(got) != len(want) {
 					t.Fatalf("trial %d: %d results, want %d", trial, len(got), len(want))
 				}
@@ -101,9 +100,9 @@ func TestOpenPagedWarmPoolServesFromMemory(t *testing.T) {
 	}
 	defer store.Close()
 	q := geom.Vector{50, 50, 50}
-	nn.Search(paged, q, 50, nil)
+	knn(t, paged, q, 50, nil)
 	cold := store.PoolStats()
-	nn.Search(paged, q, 50, nil)
+	knn(t, paged, q, 50, nil)
 	warm := store.PoolStats().Sub(cold)
 	if warm.Misses != 0 {
 		t.Errorf("warm repeat of the same query missed %d times", warm.Misses)
@@ -171,8 +170,8 @@ func TestPagedMutationMatchesInMemory(t *testing.T) {
 			rng := rand.New(rand.NewSource(13))
 			for trial := 0; trial < 6; trial++ {
 				q := geom.Vector{rng.Float64() * 100, rng.Float64() * 100}
-				want := nn.Search(tree, q, 40, nil)
-				got := nn.Search(paged, q, 40, nil)
+				want := knn(t, tree, q, 40, nil)
+				got := knn(t, paged, q, 40, nil)
 				if len(got) != len(want) {
 					t.Fatalf("trial %d: %d results, want %d", trial, len(got), len(want))
 				}
@@ -242,8 +241,8 @@ func TestOpenPagedZeroCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	want := nn.Search(tree, geom.Vector{30, 70}, 25, nil)
-	got := nn.Search(paged, geom.Vector{30, 70}, 25, nil)
+	want := knn(t, tree, geom.Vector{30, 70}, 25, nil)
+	got := knn(t, paged, geom.Vector{30, 70}, 25, nil)
 	if len(got) != len(want) {
 		t.Fatalf("%d results, want %d", len(got), len(want))
 	}
@@ -280,8 +279,8 @@ func TestPagedPrefetchIdenticalResultsAndCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 16; trial++ {
 		q := geom.Vector{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
-		want := nn.Search(tree, q, 200, nil)
-		got := nn.Search(paged, q, 200, nil)
+		want := knn(t, tree, q, 200, nil)
+		got := knn(t, paged, q, 200, nil)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d results, want %d", trial, len(got), len(want))
 		}

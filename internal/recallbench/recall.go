@@ -99,12 +99,6 @@ type RecallResult struct {
 	Pass bool `json:"pass"`
 }
 
-// RecallDefault runs the calibration at the artifact scale recorded in
-// RECALL_PR6.json.
-func RecallDefault(s *experiments.Scenario) (*RecallResult, error) {
-	return Recall(s, DefaultRecallParams())
-}
-
 // Recall measures filter-and-refine recall@K as a function of the candidate
 // multiplier, entirely through the public facade: it fits a reducer, builds
 // an index over the reduced keys, writes the full features to a temporary

@@ -138,9 +138,6 @@ func (m *Mem) Delete(key geom.Vector, rid int64) (bool, error) {
 // Reads are unaffected.
 func (m *Mem) Seal() { m.sealed.Store(true) }
 
-// Sealed reports whether Seal has been called.
-func (m *Mem) Sealed() bool { return m.sealed.Load() }
-
 // Close is a no-op: memory segments hold no external resources.
 func (m *Mem) Close() error { return nil }
 
@@ -382,13 +379,6 @@ func (s *Stack) Len() int {
 		n += seg.Len()
 	}
 	return n - len(s.tombs)
-}
-
-// NumSegments returns the live segment count.
-func (s *Stack) NumSegments() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.segs)
 }
 
 // Segments returns a snapshot of the live segments, oldest first. The

@@ -188,8 +188,8 @@ func TestSealAndReplace(t *testing.T) {
 		t.Fatal(err)
 	}
 	stack.Replace([]Segment{mem}, file, false)
-	if n := stack.NumSegments(); n != 1 {
-		t.Fatalf("NumSegments = %d, want 1", n)
+	if n := len(stack.Segments()); n != 1 {
+		t.Fatalf("%d segments after Replace, want 1", n)
 	}
 	after, err := stack.SearchKNN(context.Background(), q, 20, nil)
 	if err != nil {

@@ -2,6 +2,7 @@ package blobindex
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -610,4 +611,115 @@ func TestOnlineIteratorMergesSegments(t *testing.T) {
 	if nb, ok := it2.NextWithin(10); !ok || nb.RID != want[0] {
 		t.Fatalf("resumed NextWithin: ok=%v rid=%v, want %d", ok, nb.RID, want[0])
 	}
+}
+
+// TestSearchIterReportsCorruptPage drains SearchIter over demand-paged
+// indexes with one flipped byte in a node page: the scan stops early and
+// Err reports ErrStorageCorrupt, where an exhausted index reports nil. Both
+// the single-file scan and the merged scan of a multi-segment online index
+// are covered.
+func TestSearchIterReportsCorruptPage(t *testing.T) {
+	opts := onlineTestOptions()
+	q := []float64{0.5, 0.5, 0.5}
+	// drain counts the neighbors a full scan yields; a failed scan must
+	// stop for good, yielding nothing once Err is set.
+	drain := func(t *testing.T, ix *Index) (int, error) {
+		it := ix.SearchIter(q)
+		n := 0
+		for {
+			failed := it.Err() != nil
+			if _, ok := it.Next(); !ok {
+				return n, it.Err()
+			}
+			if failed {
+				t.Fatalf("neighbor %d yielded after the scan failed", n)
+			}
+			n++
+		}
+	}
+	// flip damages one payload byte of the file's first node page (page 0
+	// is the header), so that page's CRC no longer matches.
+	flip := func(path string) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[opts.PageSize+100] ^= 0x01
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(t *testing.T, open func() (*Index, error), damage func(), total int) {
+		t.Helper()
+		clean, err := open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := drain(t, clean)
+		clean.Close()
+		if err != nil || n != total {
+			t.Fatalf("clean file: drained %d of %d, Err %v", n, total, err)
+		}
+		damage()
+		bad, err := open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bad.Close()
+		n, err = drain(t, bad)
+		if !errors.Is(err, ErrStorageCorrupt) {
+			t.Fatalf("corrupt page: Err %v, want ErrStorageCorrupt", err)
+		}
+		if n >= total {
+			t.Fatalf("corrupt page: drained all %d points", n)
+		}
+	}
+	rng := rand.New(rand.NewSource(31))
+
+	t.Run("file", func(t *testing.T) {
+		pts := make([]Point, 600)
+		for i := range pts {
+			pts[i] = Point{Key: randKey(rng, 3), RID: int64(i)}
+		}
+		ix, err := Build(pts, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "ix.idx")
+		if err := ix.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		check(t, func() (*Index, error) { return Open(path) }, func() { flip(path) }, len(pts))
+	})
+
+	t.Run("segments", func(t *testing.T) {
+		dir := t.TempDir()
+		ix, err := CreateOnline(dir, opts, OnlineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const total = 300
+		for rid := int64(0); rid < total; rid++ {
+			if err := ix.Insert(Point{Key: randKey(rng, 3), RID: rid}); err != nil {
+				t.Fatal(err)
+			}
+			if rid == total/2 {
+				if err := ix.SealActive(); err != nil {
+					t.Fatal(err)
+				}
+				if err := ix.CompactPending(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := filepath.Glob(filepath.Join(dir, "seg-*.idx"))
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("segment files %v, err %v; want one", segs, err)
+		}
+		open := func() (*Index, error) { return OpenOnline(dir, OnlineOptions{}) }
+		check(t, open, func() { flip(segs[0]) }, total)
+	})
 }

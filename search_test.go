@@ -364,9 +364,10 @@ func TestMultiplierForRecall(t *testing.T) {
 	}
 }
 
-// TestSearchMatchesLegacyEntryPoints pins the unified pipeline to the
-// deprecated wrappers it replaced: identical results object for object.
-func TestSearchMatchesLegacyEntryPoints(t *testing.T) {
+// TestSearchMatchesIterator pins the unified pipeline to the incremental
+// iterator over the same index — identical neighbors object for object —
+// and checks that a non-refining response reports only its filter stage.
+func TestSearchMatchesIterator(t *testing.T) {
 	pts, queries := goldenCorpus()
 	ix, err := Build(pts, Options{Method: AMAP, Dim: 5, PageSize: 4096})
 	if err != nil {
@@ -378,19 +379,20 @@ func TestSearchMatchesLegacyEntryPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := ix.SearchKNNCtx(ctx, q, 25)
-		if err != nil {
-			t.Fatal(err)
+		if len(resp.Neighbors) != 25 {
+			t.Fatalf("got %d neighbors, want 25", len(resp.Neighbors))
 		}
-		if len(resp.Neighbors) != len(legacy) {
-			t.Fatalf("result count %d vs %d", len(resp.Neighbors), len(legacy))
-		}
-		for i := range legacy {
-			if resp.Neighbors[i].RID != legacy[i].RID || resp.Neighbors[i].Dist != legacy[i].Dist {
-				t.Fatalf("result %d differs: %+v vs %+v", i, resp.Neighbors[i], legacy[i])
+		it := ix.SearchIter(q)
+		for i, nb := range resp.Neighbors {
+			want, ok := it.Next()
+			if !ok {
+				t.Fatalf("iterator ended at %d", i)
+			}
+			if nb.RID != want.RID || nb.Dist != want.Dist || nb.Dist2 != want.Dist2 {
+				t.Fatalf("result %d differs: %+v vs iterator %+v", i, nb, want)
 			}
 		}
-		if resp.Filter.Candidates != len(resp.Neighbors) || resp.Refined {
+		if resp.Filter.Candidates != len(resp.Neighbors) || resp.Refined || resp.Multiplier != 1 {
 			t.Fatalf("non-refining response misreports stages: %+v", resp)
 		}
 	}

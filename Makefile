@@ -50,11 +50,13 @@ chaossmoke:
 	$(GO) run ./cmd/blobbench -images 500 -queries 32 -experiment chaos
 
 # fuzzsmoke gives the pagefile openers' fuzzers (index file, refine sidecar)
-# a short budget each — enough to catch format-validation regressions
-# without slowing the gate. go test takes one fuzz target per run.
+# and the search response encoder's differential fuzzer a short budget each —
+# enough to catch format-validation and encoding regressions without slowing
+# the gate. go test takes one fuzz target per run.
 fuzzsmoke:
 	$(GO) test -fuzz=FuzzOpenPaged -fuzztime=10s -run=^$$ ./internal/pagefile
 	$(GO) test -fuzz=FuzzOpenSidecar -fuzztime=10s -run=^$$ ./internal/pagefile
+	$(GO) test -fuzz=FuzzAppendSearchResponse -fuzztime=10s -run=^$$ ./internal/wire
 
 # recall calibrates the filter-and-refine candidate multiplier against
 # brute-force exact ground truth at artifact scale and writes the committed

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"blobindex/internal/server"
+	"blobindex/internal/wire"
 )
 
 // StatusError is a non-2xx daemon response. RetryAfter is the parsed
@@ -99,8 +100,8 @@ var defaultHTTPClient = &http.Client{
 }
 
 // KNN runs a k-NN search.
-func (c *Client) KNN(ctx context.Context, req server.KNNRequest) (*server.SearchResponse, error) {
-	var resp server.SearchResponse
+func (c *Client) KNN(ctx context.Context, req wire.KNNRequest) (*wire.SearchResponse, error) {
+	var resp wire.SearchResponse
 	if err := c.call(ctx, http.MethodPost, "/v1/knn", req, &resp); err != nil {
 		return nil, err
 	}
@@ -108,8 +109,8 @@ func (c *Client) KNN(ctx context.Context, req server.KNNRequest) (*server.Search
 }
 
 // Range runs a range search.
-func (c *Client) Range(ctx context.Context, req server.RangeRequest) (*server.SearchResponse, error) {
-	var resp server.SearchResponse
+func (c *Client) Range(ctx context.Context, req wire.RangeRequest) (*wire.SearchResponse, error) {
+	var resp wire.SearchResponse
 	if err := c.call(ctx, http.MethodPost, "/v1/range", req, &resp); err != nil {
 		return nil, err
 	}
@@ -117,8 +118,8 @@ func (c *Client) Range(ctx context.Context, req server.RangeRequest) (*server.Se
 }
 
 // Insert inserts one point.
-func (c *Client) Insert(ctx context.Context, req server.WriteRequest) (*server.WriteResponse, error) {
-	var resp server.WriteResponse
+func (c *Client) Insert(ctx context.Context, req wire.WriteRequest) (*wire.WriteResponse, error) {
+	var resp wire.WriteResponse
 	if err := c.call(ctx, http.MethodPost, "/v1/insert", req, &resp); err != nil {
 		return nil, err
 	}
@@ -126,8 +127,8 @@ func (c *Client) Insert(ctx context.Context, req server.WriteRequest) (*server.W
 }
 
 // Delete deletes one point.
-func (c *Client) Delete(ctx context.Context, req server.WriteRequest) (*server.WriteResponse, error) {
-	var resp server.WriteResponse
+func (c *Client) Delete(ctx context.Context, req wire.WriteRequest) (*wire.WriteResponse, error) {
+	var resp wire.WriteResponse
 	if err := c.call(ctx, http.MethodPost, "/v1/delete", req, &resp); err != nil {
 		return nil, err
 	}
@@ -137,8 +138,8 @@ func (c *Client) Delete(ctx context.Context, req server.WriteRequest) (*server.W
 // Compact asks an online daemon to seal its active segment and compact
 // everything pending, now. Daemons serving a legacy (non-online) index
 // answer 501.
-func (c *Client) Compact(ctx context.Context) (*server.WriteResponse, error) {
-	var resp server.WriteResponse
+func (c *Client) Compact(ctx context.Context) (*wire.WriteResponse, error) {
+	var resp wire.WriteResponse
 	if err := c.call(ctx, http.MethodPost, "/v1/compact", nil, &resp); err != nil {
 		return nil, err
 	}

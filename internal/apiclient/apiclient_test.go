@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"blobindex/internal/server"
+	"blobindex/internal/wire"
 )
 
 func TestKNNDecodesNeighbors(t *testing.T) {
@@ -18,18 +18,18 @@ func TestKNNDecodesNeighbors(t *testing.T) {
 		if r.URL.Path != "/v1/knn" || r.Method != http.MethodPost {
 			t.Errorf("unexpected request %s %s", r.Method, r.URL.Path)
 		}
-		var req server.KNNRequest
+		var req wire.KNNRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			t.Errorf("decode request: %v", err)
 		}
-		json.NewEncoder(w).Encode(server.SearchResponse{Neighbors: []server.NeighborJSON{
+		json.NewEncoder(w).Encode(wire.SearchResponse{Neighbors: []wire.Neighbor{
 			{RID: 7, Dist: 1.5, Dist2: 2.25},
 		}})
 	}))
 	defer ts.Close()
 
 	c := New(ts.URL, Options{})
-	resp, err := c.KNN(context.Background(), server.KNNRequest{Query: []float64{0, 0}, K: 1})
+	resp, err := c.KNN(context.Background(), wire.KNNRequest{Query: []float64{0, 0}, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,12 +47,12 @@ func TestRetriesHonorRetryAfter(t *testing.T) {
 			json.NewEncoder(w).Encode(map[string]string{"error": "draining"})
 			return
 		}
-		json.NewEncoder(w).Encode(server.SearchResponse{Neighbors: []server.NeighborJSON{{RID: 1}}})
+		json.NewEncoder(w).Encode(wire.SearchResponse{Neighbors: []wire.Neighbor{{RID: 1}}})
 	}))
 	defer ts.Close()
 
 	c := New(ts.URL, Options{MaxRetries: 3, RetryWait: time.Millisecond})
-	resp, err := c.KNN(context.Background(), server.KNNRequest{Query: []float64{0}, K: 1})
+	resp, err := c.KNN(context.Background(), wire.KNNRequest{Query: []float64{0}, K: 1})
 	if err != nil {
 		t.Fatalf("want success after retries, got %v", err)
 	}
@@ -74,7 +74,7 @@ func TestBadRequestIsNotRetried(t *testing.T) {
 	defer ts.Close()
 
 	c := New(ts.URL, Options{MaxRetries: 5, RetryWait: time.Millisecond})
-	_, err := c.KNN(context.Background(), server.KNNRequest{Query: []float64{0}, K: -1})
+	_, err := c.KNN(context.Background(), wire.KNNRequest{Query: []float64{0}, K: -1})
 	se, ok := err.(*StatusError)
 	if !ok || se.Code != http.StatusBadRequest || se.Body != "k must be positive" {
 		t.Fatalf("want StatusError 400, got %v", err)
@@ -147,7 +147,7 @@ func TestCompact(t *testing.T) {
 		if r.URL.Path != "/v1/compact" || r.Method != http.MethodPost {
 			t.Errorf("unexpected request %s %s", r.Method, r.URL.Path)
 		}
-		json.NewEncoder(w).Encode(server.WriteResponse{OK: true})
+		json.NewEncoder(w).Encode(wire.WriteResponse{OK: true})
 	}))
 	defer ts.Close()
 

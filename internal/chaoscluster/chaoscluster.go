@@ -28,7 +28,7 @@ import (
 	"strings"
 
 	"blobindex/internal/apiclient"
-	"blobindex/internal/server"
+	"blobindex/internal/wire"
 )
 
 // Config sizes a harness run. Zero values pick the smoke-scale defaults.
@@ -184,7 +184,7 @@ func (r *Report) Render() string {
 // over each neighbor's (RID, Dist2 bits), so byte-identical answers — same
 // RIDs, same order, bit-identical distances — compare equal and nothing
 // else does.
-func resultDigest(res []server.NeighborJSON) uint64 {
+func resultDigest(res []wire.Neighbor) uint64 {
 	h := fnv.New64a()
 	var buf [16]byte
 	for _, n := range res {
@@ -197,7 +197,7 @@ func resultDigest(res []server.NeighborJSON) uint64 {
 
 // sameBits reports bit-equality of two wire result lists (RID, Dist, Dist2;
 // Key bits too when both sides carry keys).
-func sameBits(got, want []server.NeighborJSON) (bool, string) {
+func sameBits(got, want []wire.Neighbor) (bool, string) {
 	if len(got) != len(want) {
 		return false, fmt.Sprintf("%d results, oracle has %d", len(got), len(want))
 	}

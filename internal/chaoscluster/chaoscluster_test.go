@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"blobindex/internal/server"
+	"blobindex/internal/wire"
 )
 
 func testEnv(actions int) *genEnv {
@@ -206,16 +206,16 @@ func TestProxyPartition(t *testing.T) {
 // TestResultDigest: the digest follows (RID, Dist2 bits) and is order- and
 // content-sensitive.
 func TestResultDigest(t *testing.T) {
-	a := []server.NeighborJSON{{RID: 1, Dist2: 0.25}, {RID: 2, Dist2: 0.5}}
-	b := []server.NeighborJSON{{RID: 2, Dist2: 0.5}, {RID: 1, Dist2: 0.25}}
+	a := []wire.Neighbor{{RID: 1, Dist2: 0.25}, {RID: 2, Dist2: 0.5}}
+	b := []wire.Neighbor{{RID: 2, Dist2: 0.5}, {RID: 1, Dist2: 0.25}}
 	if resultDigest(a) == resultDigest(b) {
 		t.Fatal("digest ignores order")
 	}
-	c := []server.NeighborJSON{{RID: 1, Dist2: 0.25}, {RID: 2, Dist2: 0.5}}
+	c := []wire.Neighbor{{RID: 1, Dist2: 0.25}, {RID: 2, Dist2: 0.5}}
 	if resultDigest(a) != resultDigest(c) {
 		t.Fatal("identical lists digest differently")
 	}
-	d := []server.NeighborJSON{{RID: 1, Dist2: 0.25}, {RID: 2, Dist2: 0.5000000000000001}}
+	d := []wire.Neighbor{{RID: 1, Dist2: 0.25}, {RID: 2, Dist2: 0.5000000000000001}}
 	if resultDigest(a) == resultDigest(d) {
 		t.Fatal("digest ignores a one-ulp distance change")
 	}
@@ -225,7 +225,7 @@ func TestResultDigest(t *testing.T) {
 // respects the threshold, and truncates to k.
 func TestSigFilter(t *testing.T) {
 	th := []float64{0.5, 0.5, 0.5}
-	res := []server.NeighborJSON{
+	res := []wire.Neighbor{
 		{RID: 1, Dist2: 0.1, Key: []float64{1, 1, 1}}, // sig 111
 		{RID: 2, Dist2: 0.2, Key: []float64{0, 1, 1}}, // sig 110
 		{RID: 3, Dist2: 0.3, Key: []float64{0, 0, 1}}, // sig 100

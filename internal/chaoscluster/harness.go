@@ -19,7 +19,7 @@ import (
 	"blobindex"
 	"blobindex/internal/apiclient"
 	"blobindex/internal/cluster"
-	"blobindex/internal/server"
+	"blobindex/internal/wire"
 )
 
 // dataset mirrors cmd/datagen's gob format; gob matches struct fields by
@@ -444,20 +444,20 @@ func (st *runState) step(a action) error {
 	defer cancel()
 	switch a.Kind {
 	case actKNN:
-		got, gerr := st.qcli.KNN(ctx, server.KNNRequest{Query: a.Query, K: a.K})
-		st.verifyQuery(a, respNeighbors(got), gerr, func() ([]server.NeighborJSON, error) {
+		got, gerr := st.qcli.KNN(ctx, wire.KNNRequest{Query: a.Query, K: a.K})
+		st.verifyQuery(a, respNeighbors(got), gerr, func() ([]wire.Neighbor, error) {
 			return st.oracle.knn(ctx, a.Query, a.K)
 		})
 	case actRange:
-		got, gerr := st.qcli.Range(ctx, server.RangeRequest{Query: a.Query, Radius: a.Radius})
-		st.verifyQuery(a, respNeighbors(got), gerr, func() ([]server.NeighborJSON, error) {
+		got, gerr := st.qcli.Range(ctx, wire.RangeRequest{Query: a.Query, Radius: a.Radius})
+		st.verifyQuery(a, respNeighbors(got), gerr, func() ([]wire.Neighbor, error) {
 			return st.oracle.rangeQuery(ctx, a.Query, a.Radius)
 		})
 	case actRefine:
-		got, gerr := st.qcli.KNN(ctx, server.KNNRequest{
+		got, gerr := st.qcli.KNN(ctx, wire.KNNRequest{
 			Query: a.Query, K: a.K, Refine: true, Multiplier: a.Multiplier,
 		})
-		st.verifyQuery(a, respNeighbors(got), gerr, func() ([]server.NeighborJSON, error) {
+		st.verifyQuery(a, respNeighbors(got), gerr, func() ([]wire.Neighbor, error) {
 			return st.oracle.refine(ctx, a.Query, a.K, a.Multiplier)
 		})
 	case actSig:
@@ -465,12 +465,12 @@ func (st *runState) step(a action) error {
 		// then both sides run the identical Hamming post-filter.
 		over := 4 * a.K
 		qsig := signature(a.Query, st.sigTh)
-		got, gerr := st.qcli.KNN(ctx, server.KNNRequest{Query: a.Query, K: over, IncludeKeys: true})
-		var filtered []server.NeighborJSON
+		got, gerr := st.qcli.KNN(ctx, wire.KNNRequest{Query: a.Query, K: over, IncludeKeys: true})
+		var filtered []wire.Neighbor
 		if gerr == nil {
 			filtered = sigFilter(got.Neighbors, qsig, st.sigTh, a.HammingT, a.K)
 		}
-		st.verifyQuery(a, filtered, gerr, func() ([]server.NeighborJSON, error) {
+		st.verifyQuery(a, filtered, gerr, func() ([]wire.Neighbor, error) {
 			res, err := st.oracle.knn(ctx, a.Query, over)
 			if err != nil {
 				return nil, err
@@ -495,7 +495,7 @@ func (st *runState) step(a action) error {
 	return nil
 }
 
-func respNeighbors(resp *server.SearchResponse) []server.NeighborJSON {
+func respNeighbors(resp *wire.SearchResponse) []wire.Neighbor {
 	if resp == nil {
 		return nil
 	}
@@ -507,7 +507,7 @@ func respNeighbors(resp *server.SearchResponse) []server.NeighborJSON {
 // definitive failures must be failures on the oracle too; successes must be
 // byte-identical — unless an ambiguous write is pending, in which case the
 // comparison waits for the next checkpoint.
-func (st *runState) verifyQuery(a action, got []server.NeighborJSON, gerr error, want func() ([]server.NeighborJSON, error)) {
+func (st *runState) verifyQuery(a action, got []wire.Neighbor, gerr error, want func() ([]wire.Neighbor, error)) {
 	if gerr != nil {
 		if transientErr(gerr) {
 			st.rr.QueriesInconclusive++
@@ -543,7 +543,7 @@ func (st *runState) verifyQuery(a action, got []server.NeighborJSON, gerr error,
 }
 
 func (st *runState) stepInsert(ctx context.Context, a action) {
-	resp, err := st.wcli.Insert(ctx, server.WriteRequest{Key: a.Key, RID: a.RID})
+	resp, err := st.wcli.Insert(ctx, wire.WriteRequest{Key: a.Key, RID: a.RID})
 	if err != nil {
 		if transientErr(err) {
 			st.ambiguous[a.RID] = a.Key
@@ -569,7 +569,7 @@ func (st *runState) stepInsert(ctx context.Context, a action) {
 }
 
 func (st *runState) stepDelete(ctx context.Context, a action) {
-	resp, err := st.wcli.Delete(ctx, server.WriteRequest{Key: a.Key, RID: a.RID})
+	resp, err := st.wcli.Delete(ctx, wire.WriteRequest{Key: a.Key, RID: a.RID})
 	if err != nil {
 		if transientErr(err) {
 			st.ambiguous[a.RID] = a.Key
@@ -701,7 +701,7 @@ func (st *runState) heal(a action) error {
 // probePresent asks the cluster whether rid is present, by a tiny-radius
 // range query at its exact coordinates — dist 0 always qualifies.
 func (st *runState) probePresent(ctx context.Context, rid int64, key []float64) (bool, error) {
-	resp, err := st.qcli.Range(ctx, server.RangeRequest{Query: key, Radius: 1e-9})
+	resp, err := st.qcli.Range(ctx, wire.RangeRequest{Query: key, Radius: 1e-9})
 	if err != nil {
 		return false, err
 	}
@@ -792,9 +792,9 @@ func (st *runState) checkpoint(afterAction int) error {
 			q[d] = base[d] + (brng.Float64()-0.5)*0.2*st.scale
 		}
 		var (
-			got  []server.NeighborJSON
+			got  []wire.Neighbor
 			gerr error
-			want []server.NeighborJSON
+			want []wire.Neighbor
 			werr error
 			kind string
 		)
@@ -802,13 +802,13 @@ func (st *runState) checkpoint(afterAction int) error {
 		case 0:
 			k := 1 + brng.Intn(3*st.cfg.K)
 			kind = "knn"
-			resp, err := st.qcli.KNN(ctx, server.KNNRequest{Query: q, K: k})
+			resp, err := st.qcli.KNN(ctx, wire.KNNRequest{Query: q, K: k})
 			got, gerr = respNeighbors(resp), err
 			want, werr = st.oracle.knn(ctx, q, k)
 		case 1:
 			r := st.scale * (0.1 + 0.3*brng.Float64())
 			kind = "range"
-			resp, err := st.qcli.Range(ctx, server.RangeRequest{Query: q, Radius: r})
+			resp, err := st.qcli.Range(ctx, wire.RangeRequest{Query: q, Radius: r})
 			got, gerr = respNeighbors(resp), err
 			want, werr = st.oracle.rangeQuery(ctx, q, r)
 		case 2:
@@ -818,14 +818,14 @@ func (st *runState) checkpoint(afterAction int) error {
 			}
 			mult := 2 + brng.Intn(4)
 			kind = "refine"
-			resp, err := st.qcli.KNN(ctx, server.KNNRequest{Query: fq, K: st.cfg.K, Refine: true, Multiplier: mult})
+			resp, err := st.qcli.KNN(ctx, wire.KNNRequest{Query: fq, K: st.cfg.K, Refine: true, Multiplier: mult})
 			got, gerr = respNeighbors(resp), err
 			want, werr = st.oracle.refine(ctx, fq, st.cfg.K, mult)
 		default:
 			over, t := 4*st.cfg.K, 1+brng.Intn(len(st.sigTh))
 			qsig := signature(q, st.sigTh)
 			kind = "sig"
-			resp, err := st.qcli.KNN(ctx, server.KNNRequest{Query: q, K: over, IncludeKeys: true})
+			resp, err := st.qcli.KNN(ctx, wire.KNNRequest{Query: q, K: over, IncludeKeys: true})
 			gerr = err
 			if err == nil {
 				got = sigFilter(resp.Neighbors, qsig, st.sigTh, t, st.cfg.K)

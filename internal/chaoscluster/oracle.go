@@ -8,7 +8,7 @@ import (
 
 	"blobindex"
 	"blobindex/internal/cluster"
-	"blobindex/internal/server"
+	"blobindex/internal/wire"
 )
 
 // oracle is the fault-free reference: one in-process index per shard plus
@@ -77,8 +77,8 @@ func (o *oracle) refineDim() int {
 // scatter runs req against every oracle shard and merges exactly as the
 // router does. Any shard error fails the whole query, mirroring the
 // router's all-or-nothing scatter.
-func (o *oracle) scatter(ctx context.Context, req blobindex.SearchRequest, mergeK int) ([]server.NeighborJSON, error) {
-	lists := make([][]server.NeighborJSON, len(o.shards))
+func (o *oracle) scatter(ctx context.Context, req blobindex.SearchRequest, mergeK int) ([]wire.Neighbor, error) {
+	lists := make([][]wire.Neighbor, len(o.shards))
 	for i, s := range o.shards {
 		resp, err := s.Search(ctx, req)
 		if err != nil {
@@ -89,27 +89,27 @@ func (o *oracle) scatter(ctx context.Context, req blobindex.SearchRequest, merge
 	return cluster.Merge(lists, mergeK), nil
 }
 
-func (o *oracle) knn(ctx context.Context, q []float64, k int) ([]server.NeighborJSON, error) {
+func (o *oracle) knn(ctx context.Context, q []float64, k int) ([]wire.Neighbor, error) {
 	return o.scatter(ctx, blobindex.SearchRequest{Query: q, K: k}, k)
 }
 
-func (o *oracle) rangeQuery(ctx context.Context, q []float64, radius float64) ([]server.NeighborJSON, error) {
+func (o *oracle) rangeQuery(ctx context.Context, q []float64, radius float64) ([]wire.Neighbor, error) {
 	return o.scatter(ctx, blobindex.SearchRequest{Query: q, Radius: radius}, 0)
 }
 
 // refine mirrors the router's refined k-NN: the full-dimensionality query
 // goes to every shard, each shard picks and re-ranks its own K × Multiplier
 // candidates against its sidecar, and the per-shard refined lists merge.
-func (o *oracle) refine(ctx context.Context, q []float64, k, multiplier int) ([]server.NeighborJSON, error) {
+func (o *oracle) refine(ctx context.Context, q []float64, k, multiplier int) ([]wire.Neighbor, error) {
 	return o.scatter(ctx, blobindex.SearchRequest{Query: q, K: k, Refine: true, Multiplier: multiplier}, k)
 }
 
 // toWire converts facade neighbors to the wire shape, keys included (the
 // comparisons that need keys ask the daemons for them too).
-func toWire(res []blobindex.Neighbor) []server.NeighborJSON {
-	out := make([]server.NeighborJSON, len(res))
+func toWire(res []blobindex.Neighbor) []wire.Neighbor {
+	out := make([]wire.Neighbor, len(res))
 	for i, n := range res {
-		out[i] = server.NeighborJSON{RID: n.RID, Key: n.Key, Dist: n.Dist, Dist2: n.Dist2}
+		out[i] = wire.Neighbor{RID: n.RID, Key: n.Key, Dist: n.Dist, Dist2: n.Dist2}
 	}
 	return out
 }
@@ -149,8 +149,8 @@ func signature(key, th []float64) uint64 {
 // truncate to k. Both the daemon-side and oracle-side lists run through
 // this exact function, so the comparison checks the served candidates, not
 // the filter itself.
-func sigFilter(res []server.NeighborJSON, qsig uint64, th []float64, t, k int) []server.NeighborJSON {
-	out := make([]server.NeighborJSON, 0, k)
+func sigFilter(res []wire.Neighbor, qsig uint64, th []float64, t, k int) []wire.Neighbor {
+	out := make([]wire.Neighbor, 0, k)
 	for _, n := range res {
 		if n.Key == nil {
 			continue

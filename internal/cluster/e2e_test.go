@@ -27,7 +27,7 @@ import (
 	"blobindex"
 	"blobindex/internal/apiclient"
 	"blobindex/internal/cluster"
-	"blobindex/internal/server"
+	"blobindex/internal/wire"
 )
 
 // repoRoot locates the module root from this source file's path.
@@ -222,7 +222,7 @@ func TestClusterFailoverE2E(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := cli.KNN(ctx, server.KNNRequest{Query: q, K: k})
+				got, err := cli.KNN(ctx, wire.KNNRequest{Query: q, K: k})
 				if err != nil {
 					t.Fatalf("%s: knn k=%d: %v", phase, k, err)
 				}
@@ -232,7 +232,7 @@ func TestClusterFailoverE2E(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := cli.Range(ctx, server.RangeRequest{Query: q, Radius: 0.2})
+			got, err := cli.Range(ctx, wire.RangeRequest{Query: q, Radius: 0.2})
 			if err != nil {
 				t.Fatalf("%s: range: %v", phase, err)
 			}
@@ -288,7 +288,7 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) 
 
 // assertSameBits compares wire results against facade oracle results with
 // bit equality on both distance fields.
-func assertSameBits(t *testing.T, what string, got []server.NeighborJSON, want []blobindex.Neighbor) {
+func assertSameBits(t *testing.T, what string, got []wire.Neighbor, want []blobindex.Neighbor) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d results, oracle has %d", what, len(got), len(want))

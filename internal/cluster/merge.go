@@ -1,13 +1,13 @@
 package cluster
 
-import "blobindex/internal/server"
+import "blobindex/internal/wire"
 
 // neighborLess is the (Dist2, RID) total order every tier of the stack
 // sorts results by — internal/nn within one tree, segment.Stack across
 // segments, and here across shards. Dist2 carries the traversal's exact
 // squared-distance bits over the wire, so this comparison reproduces the
 // single-index order bit for bit.
-func neighborLess(a, b server.NeighborJSON) bool {
+func neighborLess(a, b wire.Neighbor) bool {
 	if a.Dist2 != b.Dist2 {
 		return a.Dist2 < b.Dist2
 	}
@@ -20,7 +20,7 @@ func neighborLess(a, b server.NeighborJSON) bool {
 // case). Partitions are disjoint, so no deduplication is needed: the
 // merged prefix is exactly what a single index over the union would have
 // returned.
-func Merge(lists [][]server.NeighborJSON, k int) []server.NeighborJSON {
+func Merge(lists [][]wire.Neighbor, k int) []wire.Neighbor {
 	total := 0
 	for _, l := range lists {
 		total += len(l)
@@ -29,7 +29,7 @@ func Merge(lists [][]server.NeighborJSON, k int) []server.NeighborJSON {
 	if k > 0 && k < n {
 		n = k
 	}
-	out := make([]server.NeighborJSON, 0, n)
+	out := make([]wire.Neighbor, 0, n)
 	// Linear heads-scan merge: shard counts are small (a handful to a few
 	// dozen), where scanning beats a heap's bookkeeping.
 	heads := make([]int, len(lists))

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"blobindex"
-	"blobindex/internal/server"
+	"blobindex/internal/wire"
 )
 
 // clusterCorpus builds a deterministic, mildly clustered point set (so the
@@ -34,15 +34,15 @@ func clusterCorpus(n, dim int, seed int64) ([]blobindex.Point, [][]float64) {
 	return pts, queries
 }
 
-func toWire(res []blobindex.Neighbor) []server.NeighborJSON {
-	out := make([]server.NeighborJSON, len(res))
+func toWire(res []blobindex.Neighbor) []wire.Neighbor {
+	out := make([]wire.Neighbor, len(res))
 	for i, nb := range res {
-		out[i] = server.NeighborJSON{RID: nb.RID, Dist: nb.Dist, Dist2: nb.Dist2}
+		out[i] = wire.Neighbor{RID: nb.RID, Dist: nb.Dist, Dist2: nb.Dist2}
 	}
 	return out
 }
 
-func sameBits(t *testing.T, what string, got, want []server.NeighborJSON) {
+func sameBits(t *testing.T, what string, got, want []wire.Neighbor) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d results, oracle has %d", what, len(got), len(want))
@@ -100,8 +100,8 @@ func TestMergeIdentityAcrossPartitions(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				scatter := func(req blobindex.SearchRequest) [][]server.NeighborJSON {
-					lists := make([][]server.NeighborJSON, nShards)
+				scatter := func(req blobindex.SearchRequest) [][]wire.Neighbor {
+					lists := make([][]wire.Neighbor, nShards)
 					for i, sh := range shards {
 						resp, err := sh.Search(ctx, req)
 						if err != nil {
@@ -138,8 +138,8 @@ func TestMergeIdentityAcrossPartitions(t *testing.T) {
 }
 
 // TestWireRoundTripPreservesBits pins the encoding assumption the merge
-// rests on: Go's JSON float encoding is shortest-round-trippable, so Dist2
-// survives daemon → router bit for bit.
+// rests on: the daemons' float encoding is shortest-round-trippable, so
+// Dist2 survives daemon → router bit for bit.
 func TestWireRoundTripPreservesBits(t *testing.T) {
 	const dim = 5
 	pts, queries := clusterCorpus(400, dim, 7)
@@ -151,16 +151,16 @@ func TestWireRoundTripPreservesBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := toWire(resp.Neighbors)
-	data, err := json.Marshal(wire)
+	sent := toWire(resp.Neighbors)
+	data, err := wire.AppendSearchResponse(nil, &wire.SearchResponse{Neighbors: sent})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back []server.NeighborJSON
+	var back wire.SearchResponse
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	sameBits(t, "json round trip", back, wire)
+	sameBits(t, "json round trip", back.Neighbors, sent)
 }
 
 func TestHashPartitionSpreads(t *testing.T) {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -15,6 +14,7 @@ import (
 	"blobindex/internal/apiclient"
 	"blobindex/internal/buildinfo"
 	"blobindex/internal/server"
+	"blobindex/internal/wire"
 )
 
 // Config sizes the router. Zero values pick sensible defaults for every
@@ -166,7 +166,7 @@ func (r *Router) Handler() http.Handler { return r.mux }
 // Close stops the health tracker.
 func (r *Router) Close() { r.health.close() }
 
-// --- plumbing (the router speaks the shard daemons' wire dialect) ---
+// --- plumbing (the router speaks the shard daemons' wire protocol) ---
 
 func (r *Router) instrument(name string, h func(http.ResponseWriter, *http.Request) int) http.HandlerFunc {
 	hist := r.hists[name]
@@ -176,28 +176,6 @@ func (r *Router) instrument(name string, h func(http.ResponseWriter, *http.Reque
 		status := h(w, req)
 		hist.Observe(time.Since(start), status >= 400)
 	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) int {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-	return status
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) int {
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	return writeJSON(w, status, struct {
-		Error string `json:"error"`
-	}{fmt.Sprintf(format, args...)})
-}
-
-func decodeBody(w http.ResponseWriter, req *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }
 
 func (r *Router) validQuery(q []float64) error {
@@ -228,11 +206,11 @@ func shardErrStatus(err error) int {
 // --- scatter-gather ---
 
 // shardCall is one search against one member.
-type shardCall func(ctx context.Context, m *member) (*server.SearchResponse, error)
+type shardCall func(ctx context.Context, m *member) (*wire.SearchResponse, error)
 
 // attempt runs one member attempt, feeding the member's latency histogram
 // and passive health signals.
-func (r *Router) attempt(ctx context.Context, m *member, call shardCall) (*server.SearchResponse, error) {
+func (r *Router) attempt(ctx context.Context, m *member, call shardCall) (*wire.SearchResponse, error) {
 	r.shardRequests.Add(1)
 	start := time.Now()
 	resp, err := call(ctx, m)
@@ -274,7 +252,7 @@ func (r *Router) memberOrder(si int) []*member {
 // health order with a per-attempt timeout, failing over to the next member
 // on error (bounded by Retries) and optionally hedging — launching the
 // next member early when the current attempt is slow. First success wins.
-func (r *Router) callShard(ctx context.Context, si int, call shardCall) (*server.SearchResponse, error) {
+func (r *Router) callShard(ctx context.Context, si int, call shardCall) (*wire.SearchResponse, error) {
 	order := r.memberOrder(si)
 	maxAttempts := 1 + r.cfg.Retries
 	if maxAttempts > len(order) {
@@ -282,7 +260,7 @@ func (r *Router) callShard(ctx context.Context, si int, call shardCall) (*server
 	}
 	type outcome struct {
 		m    *member
-		resp *server.SearchResponse
+		resp *wire.SearchResponse
 		err  error
 	}
 	ch := make(chan outcome, maxAttempts)
@@ -338,10 +316,10 @@ func (r *Router) callShard(ctx context.Context, si int, call shardCall) (*server
 // returns every shard's response, or the first shard failure: a k-NN
 // answer missing a partition is not an answer, so one dead partition fails
 // the query (503 + Retry-After at the handler).
-func (r *Router) scatter(ctx context.Context, call shardCall) ([]*server.SearchResponse, error) {
+func (r *Router) scatter(ctx context.Context, call shardCall) ([]*wire.SearchResponse, error) {
 	r.queries.Add(1)
 	n := len(r.shards)
-	resps := make([]*server.SearchResponse, n)
+	resps := make([]*wire.SearchResponse, n)
 	errs := make([]error, n)
 	sem := make(chan struct{}, r.cfg.MaxFanout)
 	var wg sync.WaitGroup
@@ -367,27 +345,27 @@ func (r *Router) scatter(ctx context.Context, call shardCall) ([]*server.SearchR
 // --- endpoints ---
 
 func (r *Router) handleKNN(w http.ResponseWriter, req *http.Request) int {
-	var kreq server.KNNRequest
-	if err := decodeBody(w, req, &kreq); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	var kreq wire.KNNRequest
+	if err := wire.DecodeBody(w, req, &kreq); err != nil {
+		return wire.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	// A refining query carries the full-dimensionality vector; its length
 	// is the sidecar's business, so only the shards can validate it.
 	if !kreq.Refine {
 		if err := r.validQuery(kreq.Query); err != nil {
-			return writeError(w, http.StatusBadRequest, "%v", err)
+			return wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		}
 	}
 	if kreq.K <= 0 || kreq.K > r.cfg.MaxK {
-		return writeError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", r.cfg.MaxK, kreq.K)
+		return wire.WriteError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", r.cfg.MaxK, kreq.K)
 	}
-	resps, err := r.scatter(req.Context(), func(ctx context.Context, m *member) (*server.SearchResponse, error) {
+	resps, err := r.scatter(req.Context(), func(ctx context.Context, m *member) (*wire.SearchResponse, error) {
 		return m.cli.KNN(ctx, kreq)
 	})
 	if err != nil {
-		return writeError(w, shardErrStatus(err), "knn scatter: %v", err)
+		return wire.WriteError(w, shardErrStatus(err), "knn scatter: %v", err)
 	}
-	lists := make([][]server.NeighborJSON, len(resps))
+	lists := make([][]wire.Neighbor, len(resps))
 	multiplier := 0
 	for i, resp := range resps {
 		lists[i] = resp.Neighbors
@@ -395,7 +373,7 @@ func (r *Router) handleKNN(w http.ResponseWriter, req *http.Request) int {
 			multiplier = resp.Multiplier
 		}
 	}
-	return writeJSON(w, http.StatusOK, server.SearchResponse{
+	return wire.WriteJSON(w, http.StatusOK, &wire.SearchResponse{
 		Neighbors:  Merge(lists, kreq.K),
 		Refined:    kreq.Refine,
 		Multiplier: multiplier,
@@ -403,30 +381,30 @@ func (r *Router) handleKNN(w http.ResponseWriter, req *http.Request) int {
 }
 
 func (r *Router) handleRange(w http.ResponseWriter, req *http.Request) int {
-	var rreq server.RangeRequest
-	if err := decodeBody(w, req, &rreq); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	var rreq wire.RangeRequest
+	if err := wire.DecodeBody(w, req, &rreq); err != nil {
+		return wire.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	if err := r.validQuery(rreq.Query); err != nil {
-		return writeError(w, http.StatusBadRequest, "%v", err)
+		return wire.WriteError(w, http.StatusBadRequest, "%v", err)
 	}
 	if rreq.Radius < 0 || math.IsNaN(rreq.Radius) || math.IsInf(rreq.Radius, 0) {
-		return writeError(w, http.StatusBadRequest, "radius must be finite and non-negative")
+		return wire.WriteError(w, http.StatusBadRequest, "radius must be finite and non-negative")
 	}
 	if rreq.Radius == 0 {
-		return writeJSON(w, http.StatusOK, server.SearchResponse{Neighbors: []server.NeighborJSON{}})
+		return wire.WriteJSON(w, http.StatusOK, &wire.SearchResponse{})
 	}
-	resps, err := r.scatter(req.Context(), func(ctx context.Context, m *member) (*server.SearchResponse, error) {
+	resps, err := r.scatter(req.Context(), func(ctx context.Context, m *member) (*wire.SearchResponse, error) {
 		return m.cli.Range(ctx, rreq)
 	})
 	if err != nil {
-		return writeError(w, shardErrStatus(err), "range scatter: %v", err)
+		return wire.WriteError(w, shardErrStatus(err), "range scatter: %v", err)
 	}
-	lists := make([][]server.NeighborJSON, len(resps))
+	lists := make([][]wire.Neighbor, len(resps))
 	for i, resp := range resps {
 		lists[i] = resp.Neighbors
 	}
-	return writeJSON(w, http.StatusOK, server.SearchResponse{Neighbors: Merge(lists, 0)})
+	return wire.WriteJSON(w, http.StatusOK, &wire.SearchResponse{Neighbors: Merge(lists, 0)})
 }
 
 // handleWrite routes a write to the owning shard's primary. Replicas serve
@@ -434,13 +412,13 @@ func (r *Router) handleRange(w http.ResponseWriter, req *http.Request) int {
 // partition, so writes never fail over — an unreachable primary is a 503
 // the client retries after the operator restores it.
 func (r *Router) handleWrite(w http.ResponseWriter, req *http.Request, what string,
-	do func(ctx context.Context, m *member, wreq server.WriteRequest) (*server.WriteResponse, error)) int {
-	var wreq server.WriteRequest
-	if err := decodeBody(w, req, &wreq); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	do func(ctx context.Context, m *member, wreq wire.WriteRequest) (*wire.WriteResponse, error)) int {
+	var wreq wire.WriteRequest
+	if err := wire.DecodeBody(w, req, &wreq); err != nil {
+		return wire.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	if err := r.validQuery(wreq.Key); err != nil {
-		return writeError(w, http.StatusBadRequest, "%v", err)
+		return wire.WriteError(w, http.StatusBadRequest, "%v", err)
 	}
 	owner := r.part.Owner(wreq.Key, wreq.RID)
 	primary := r.shards[owner][0]
@@ -452,23 +430,23 @@ func (r *Router) handleWrite(w http.ResponseWriter, req *http.Request, what stri
 	if err != nil {
 		primary.noteFailure(err)
 		r.writeErrors.Add(1)
-		return writeError(w, shardErrStatus(err), "%s shard %d (%s): %v", what, owner, primary.addr, err)
+		return wire.WriteError(w, shardErrStatus(err), "%s shard %d (%s): %v", what, owner, primary.addr, err)
 	}
 	primary.noteSuccess()
 	primary.served.Add(1)
-	return writeJSON(w, http.StatusOK, resp)
+	return wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (r *Router) handleInsert(w http.ResponseWriter, req *http.Request) int {
 	return r.handleWrite(w, req, "insert",
-		func(ctx context.Context, m *member, wreq server.WriteRequest) (*server.WriteResponse, error) {
+		func(ctx context.Context, m *member, wreq wire.WriteRequest) (*wire.WriteResponse, error) {
 			return m.cli.Insert(ctx, wreq)
 		})
 }
 
 func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) int {
 	return r.handleWrite(w, req, "delete",
-		func(ctx context.Context, m *member, wreq server.WriteRequest) (*server.WriteResponse, error) {
+		func(ctx context.Context, m *member, wreq wire.WriteRequest) (*wire.WriteResponse, error) {
 			return m.cli.Delete(ctx, wreq)
 		})
 }
@@ -510,7 +488,7 @@ func (r *Router) unservablePartition() (int, bool) {
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, _ *http.Request) int {
-	return writeJSON(w, http.StatusOK, r.Stats())
+	return wire.WriteJSON(w, http.StatusOK, r.Stats())
 }
 
 // --- stats ---

@@ -4,14 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"blobindex"
 	"blobindex/internal/apiclient"
 	"blobindex/internal/server"
+	"blobindex/internal/wire"
 )
 
 // testCluster is an in-process cluster: real HTTP shard daemons
@@ -93,7 +96,7 @@ func (tc *testCluster) assertIdentity(t *testing.T, what string) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := tc.cli.KNN(ctx, server.KNNRequest{Query: q, K: k})
+			got, err := tc.cli.KNN(ctx, wire.KNNRequest{Query: q, K: k})
 			if err != nil {
 				t.Fatalf("%s: knn k=%d: %v", what, k, err)
 			}
@@ -103,7 +106,7 @@ func (tc *testCluster) assertIdentity(t *testing.T, what string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := tc.cli.Range(ctx, server.RangeRequest{Query: q, Radius: 0.15})
+		got, err := tc.cli.Range(ctx, wire.RangeRequest{Query: q, Radius: 0.15})
 		if err != nil {
 			t.Fatalf("%s: range: %v", what, err)
 		}
@@ -161,7 +164,7 @@ func TestRouterPartitionUnavailable(t *testing.T) {
 	// unservable: queries fail 503 with Retry-After, and /readyz flips.
 	tc.daemons[1][0].Close()
 	_, queries := clusterCorpus(1200, 5, 42)
-	_, err := tc.cli.KNN(context.Background(), server.KNNRequest{Query: queries[0], K: 5})
+	_, err := tc.cli.KNN(context.Background(), wire.KNNRequest{Query: queries[0], K: 5})
 	var se *apiclient.StatusError
 	if !asStatusError(err, &se) || se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("want 503 StatusError, got %v", err)
@@ -203,7 +206,7 @@ func TestRouterWriteRouting(t *testing.T) {
 	for i, sh := range tc.shards {
 		before[i] = sh.Len()
 	}
-	if _, err := tc.cli.Insert(context.Background(), server.WriteRequest{Key: key, RID: rid}); err != nil {
+	if _, err := tc.cli.Insert(context.Background(), wire.WriteRequest{Key: key, RID: rid}); err != nil {
 		t.Fatal(err)
 	}
 	for i, sh := range tc.shards {
@@ -216,7 +219,7 @@ func TestRouterWriteRouting(t *testing.T) {
 		}
 	}
 	// And the delete routes back to the same shard.
-	dresp, err := tc.cli.Delete(context.Background(), server.WriteRequest{Key: key, RID: rid})
+	dresp, err := tc.cli.Delete(context.Background(), wire.WriteRequest{Key: key, RID: rid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,15 +240,15 @@ func TestRouterRejectsBadRequests(t *testing.T) {
 		code int
 	}{
 		{"wrong dim", func() error {
-			_, err := tc.cli.KNN(ctx, server.KNNRequest{Query: []float64{1, 2}, K: 3})
+			_, err := tc.cli.KNN(ctx, wire.KNNRequest{Query: []float64{1, 2}, K: 3})
 			return err
 		}, http.StatusBadRequest},
 		{"k too large", func() error {
-			_, err := tc.cli.KNN(ctx, server.KNNRequest{Query: make([]float64, 5), K: 1 << 20})
+			_, err := tc.cli.KNN(ctx, wire.KNNRequest{Query: make([]float64, 5), K: 1 << 20})
 			return err
 		}, http.StatusBadRequest},
 		{"negative radius", func() error {
-			_, err := tc.cli.Range(ctx, server.RangeRequest{Query: make([]float64, 5), Radius: -1})
+			_, err := tc.cli.Range(ctx, wire.RangeRequest{Query: make([]float64, 5), Radius: -1})
 			return err
 		}, http.StatusBadRequest},
 	}
@@ -256,9 +259,46 @@ func TestRouterRejectsBadRequests(t *testing.T) {
 		}
 	}
 	// Zero radius short-circuits to an empty result without fan-out.
-	got, err := tc.cli.Range(ctx, server.RangeRequest{Query: make([]float64, 5), Radius: 0})
+	got, err := tc.cli.Range(ctx, wire.RangeRequest{Query: make([]float64, 5), Radius: 0})
 	if err != nil || len(got.Neighbors) != 0 {
 		t.Fatalf("zero radius: %v, %d neighbors", err, len(got.Neighbors))
+	}
+}
+
+// TestRouterAnswersCarryContentLength: every router answer, a merged search
+// included, goes out with a Content-Length equal to its body, not chunked.
+func TestRouterAnswersCarryContentLength(t *testing.T) {
+	tc := newTestCluster(t, 2, Config{})
+	_, queries := clusterCorpus(1200, 5, 42)
+	q, _ := json.Marshal(queries[0])
+	for _, c := range []struct {
+		method, path, body string
+		status             int
+	}{
+		{http.MethodPost, "/v1/knn", `{"query":` + string(q) + `,"k":50}`, http.StatusOK},
+		{http.MethodPost, "/v1/range", `{"query":` + string(q) + `,"radius":0.15}`, http.StatusOK},
+		{http.MethodPost, "/v1/range", `{"query":` + string(q) + `,"radius":0}`, http.StatusOK},
+		{http.MethodPost, "/v1/insert", `{"key":[0.1,0.2,0.3,0.4,0.5],"rid":900002}`, http.StatusOK},
+		{http.MethodGet, "/v1/stats", "", http.StatusOK},
+		{http.MethodPost, "/v1/knn", `{"query":[1],"k":5}`, http.StatusBadRequest},
+	} {
+		req, err := http.NewRequest(c.method, tc.front.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != c.status || resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s %s: status %d, Content-Length %d, transfer encoding %v, body %d bytes",
+				c.method, c.path, resp.StatusCode, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
 	}
 }
 

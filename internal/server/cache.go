@@ -12,9 +12,8 @@ import (
 )
 
 // resultCache is the serving layer's sharded LRU result cache. Entries are
-// keyed by the full query signature — access method, operation, k (or the
-// quantized radius) and the quantized query vector — so two requests that
-// would run the same index search share one cached result. Sharding keeps
+// keyed by the full request signature (see searchKey), so two requests that
+// would send the same response share one cached result. Sharding keeps
 // the per-lookup critical section short under the 64-plus-client
 // concurrency the server is sized for; each shard is an independent
 // mutex-protected LRU.
@@ -24,8 +23,10 @@ import (
 // generation instead of scanning the shards eagerly. A cached result
 // therefore never survives an Insert/Delete/Tighten, but writes stay O(1).
 //
-// Cached []blobindex.Neighbor values are shared between concurrent readers
-// and must be treated as immutable by everyone who receives them.
+// A value is a response's encoded neighbours array (wire.AppendNeighbors),
+// so a hit copies bytes instead of encoding again. Values are shared between
+// concurrent responses and must be treated as immutable by everyone who
+// receives them.
 type resultCache struct {
 	shards []cacheShard
 	gen    atomic.Uint64 // current write generation
@@ -47,7 +48,7 @@ type cacheShard struct {
 type cacheEntry struct {
 	key string
 	gen uint64
-	val []blobindex.Neighbor
+	val []byte
 }
 
 // newResultCache builds a cache holding up to entries results across shards
@@ -82,10 +83,11 @@ func (c *resultCache) shard(key string) *cacheShard {
 	return &c.shards[maphash.String(c.seed, key)%uint64(len(c.shards))]
 }
 
-// get returns the cached neighbors for key, or ok == false on a miss. A hit
-// stamped with an older generation than the current one counts as both an
-// invalidation and a miss: the entry is dropped and the caller recomputes.
-func (c *resultCache) get(key string) ([]blobindex.Neighbor, bool) {
+// get returns the cached neighbours array for key, or ok == false on a
+// miss. A hit stamped with an older generation than the current one counts
+// as both an invalidation and a miss: the entry is dropped and the caller
+// recomputes.
+func (c *resultCache) get(key string) ([]byte, bool) {
 	if !c.enabled() {
 		c.misses.Add(1)
 		return nil, false
@@ -108,9 +110,10 @@ func (c *resultCache) get(key string) ([]blobindex.Neighbor, bool) {
 		return nil, false
 	}
 	sh.lru.MoveToFront(el)
+	val := ent.val // under the lock: put may replace it
 	sh.mu.Unlock()
 	c.hits.Add(1)
-	return ent.val, true
+	return val, true
 }
 
 // put stores a computed result stamped with gen, the generation the caller
@@ -121,7 +124,7 @@ func (c *resultCache) get(key string) ([]blobindex.Neighbor, bool) {
 // either dropped here or discarded by its next lookup — it is never served
 // as fresh. Stamping the current generation instead would let a search that
 // raced a write cache its pre-write answer indefinitely.
-func (c *resultCache) put(key string, val []blobindex.Neighbor, gen uint64) {
+func (c *resultCache) put(key string, val []byte, gen uint64) {
 	if !c.enabled() {
 		return
 	}
@@ -222,34 +225,33 @@ func (c *resultCache) stats() CacheStats {
 // feature distance.
 const quantum = 1 << 16
 
-// searchKey builds the cache/coalescing key for one search: op
-// discriminator, access method, k, quantized radius (range only), the
-// refine flag with its effective candidate multiplier, and the quantized
-// query vector, binary-packed. The same key feeds both the result cache and
-// the single-flight group, so "identical query" means the same thing in
-// both layers. Refined and unrefined searches over the same query never
-// share a key — their result sets differ in membership, order and metric —
-// and neither do refined searches at different effective multipliers.
-func searchKey(op byte, method blobindex.Method, k int, radius float64, q []float64, refine bool, multiplier int) string {
-	b := make([]byte, 0, 3+len(method)+8+8+8+8*len(q))
-	b = append(b, op)
+// searchKey builds the cache/coalescing key for one search request, binary
+// packed: access method, k, quantized radius (range only), the refine flag
+// with its effective candidate multiplier, whether the response carries
+// keys, and the quantized query vector. The same key feeds both the result
+// cache and the single-flight group, so "identical query" means the same
+// thing in both layers. Refined and unrefined searches over the same query
+// never share a key — their result sets differ in membership, order and
+// metric — and neither do refined searches at different effective
+// multipliers, nor requests with and without include_keys, since a cache
+// entry holds the encoded response.
+func searchKey(method blobindex.Method, req blobindex.SearchRequest, includeKeys bool) string {
+	b := make([]byte, 0, len(method)+1+8+8+1+8+8*len(req.Query))
 	b = append(b, method...)
 	b = append(b, 0) // method/terminator so "jb"+k cannot collide with "xjb"
-	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], uint64(k))
-	b = append(b, w[:]...)
-	binary.LittleEndian.PutUint64(w[:], uint64(int64(math.Round(radius*quantum))))
-	b = append(b, w[:]...)
-	if refine {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
+	b = binary.LittleEndian.AppendUint64(b, uint64(req.K))
+	b = binary.LittleEndian.AppendUint64(b, uint64(int64(math.Round(req.Radius*quantum))))
+	var flags byte
+	if req.Refine {
+		flags |= 1
 	}
-	binary.LittleEndian.PutUint64(w[:], uint64(multiplier))
-	b = append(b, w[:]...)
-	for _, v := range q {
-		binary.LittleEndian.PutUint64(w[:], uint64(int64(math.Round(v*quantum))))
-		b = append(b, w[:]...)
+	if includeKeys {
+		flags |= 2
+	}
+	b = append(b, flags)
+	b = binary.LittleEndian.AppendUint64(b, uint64(req.Multiplier))
+	for _, v := range req.Query {
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(math.Round(v*quantum))))
 	}
 	return string(b)
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -10,15 +11,21 @@ import (
 	"blobindex"
 )
 
-func res(rid int64) []blobindex.Neighbor {
-	return []blobindex.Neighbor{{RID: rid, Dist: float64(rid)}}
+// res is a stand-in cached value: an encoded neighbours array.
+func res(rid int64) []byte {
+	return fmt.Appendf(nil, `[{"rid":%d}]`, rid)
+}
+
+// knnKey keys an unrefined, keys-less k-NN request.
+func knnKey(method blobindex.Method, k int, q ...float64) string {
+	return searchKey(method, blobindex.SearchRequest{Query: q, K: k}, false)
 }
 
 func TestCacheHitMissEvict(t *testing.T) {
 	c := newResultCache(4, 1) // one shard so LRU order is global
 	keys := make([]string, 5)
 	for i := range keys {
-		keys[i] = searchKey('k', blobindex.XJB, 10, 0, []float64{float64(i)}, false, 0)
+		keys[i] = knnKey(blobindex.XJB, 10, float64(i))
 	}
 	for i := 0; i < 4; i++ {
 		if _, ok := c.get(keys[i]); ok {
@@ -28,8 +35,8 @@ func TestCacheHitMissEvict(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		v, ok := c.get(keys[i])
-		if !ok || v[0].RID != int64(i) {
-			t.Fatalf("key %d: ok=%v v=%v", i, ok, v)
+		if !ok || !bytes.Equal(v, res(int64(i))) {
+			t.Fatalf("key %d: ok=%v v=%s", i, ok, v)
 		}
 	}
 	// The gets touched 0..3 in order, so key 0 is least recently used;
@@ -57,7 +64,7 @@ func TestCacheHitMissEvict(t *testing.T) {
 
 func TestCacheInvalidateGeneration(t *testing.T) {
 	c := newResultCache(8, 2)
-	key := searchKey('k', blobindex.JB, 5, 0, []float64{1, 2}, false, 0)
+	key := knnKey(blobindex.JB, 5, 1, 2)
 	c.put(key, res(1), c.generation())
 	if _, ok := c.get(key); !ok {
 		t.Fatal("miss before invalidation")
@@ -71,8 +78,8 @@ func TestCacheInvalidateGeneration(t *testing.T) {
 	}
 	// The slot was reclaimed lazily; re-fill works.
 	c.put(key, res(2), c.generation())
-	if v, ok := c.get(key); !ok || v[0].RID != 2 {
-		t.Errorf("re-fill after invalidation: ok=%v v=%v", ok, v)
+	if v, ok := c.get(key); !ok || !bytes.Equal(v, res(2)) {
+		t.Errorf("re-fill after invalidation: ok=%v v=%s", ok, v)
 	}
 }
 
@@ -82,7 +89,7 @@ func TestCacheInvalidateGeneration(t *testing.T) {
 // the invalidate.
 func TestCachePutRacingWrite(t *testing.T) {
 	c := newResultCache(8, 2)
-	key := searchKey('k', blobindex.XJB, 5, 0, []float64{3, 4}, false, 0)
+	key := knnKey(blobindex.XJB, 5, 3, 4)
 	gen := c.generation() // search starts here...
 	c.invalidate()        // ...a delete completes while it runs...
 	c.put(key, res(1), gen)
@@ -92,14 +99,14 @@ func TestCachePutRacingWrite(t *testing.T) {
 	// A result computed under the current generation still caches normally,
 	// including overwriting the same key.
 	c.put(key, res(2), c.generation())
-	if v, ok := c.get(key); !ok || v[0].RID != 2 {
-		t.Errorf("post-write re-fill: ok=%v v=%v", ok, v)
+	if v, ok := c.get(key); !ok || !bytes.Equal(v, res(2)) {
+		t.Errorf("post-write re-fill: ok=%v v=%s", ok, v)
 	}
 }
 
 func TestCacheDisabled(t *testing.T) {
 	c := newResultCache(0, 4)
-	key := searchKey('k', blobindex.XJB, 1, 0, []float64{1}, false, 0)
+	key := knnKey(blobindex.XJB, 1, 1)
 	c.put(key, res(1), c.generation())
 	if _, ok := c.get(key); ok {
 		t.Error("disabled cache returned a hit")
@@ -110,19 +117,20 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 func TestSearchKeyQuantization(t *testing.T) {
-	base := searchKey('k', blobindex.XJB, 10, 0, []float64{1.5, -2.25}, false, 0)
-	same := searchKey('k', blobindex.XJB, 10, 0, []float64{1.5 + 1e-9, -2.25}, false, 0)
-	if base != same {
+	q := []float64{1.5, -2.25}
+	req := blobindex.SearchRequest{Query: q, K: 10}
+	base := searchKey(blobindex.XJB, req, false)
+	if same := knnKey(blobindex.XJB, 10, 1.5+1e-9, -2.25); base != same {
 		t.Error("sub-quantum perturbation changed the key")
 	}
 	for name, other := range map[string]string{
-		"different k":      searchKey('k', blobindex.XJB, 11, 0, []float64{1.5, -2.25}, false, 0),
-		"different method": searchKey('k', blobindex.JB, 10, 0, []float64{1.5, -2.25}, false, 0),
-		"different op":     searchKey('r', blobindex.XJB, 10, 0, []float64{1.5, -2.25}, false, 0),
-		"different coord":  searchKey('k', blobindex.XJB, 10, 0, []float64{1.25, -2.25}, false, 0),
-		"different radius": searchKey('k', blobindex.XJB, 10, 3.5, []float64{1.5, -2.25}, false, 0),
-		"refined":          searchKey('k', blobindex.XJB, 10, 0, []float64{1.5, -2.25}, true, 6),
-		"different mult":   searchKey('k', blobindex.XJB, 10, 0, []float64{1.5, -2.25}, true, 3),
+		"different k":      knnKey(blobindex.XJB, 11, q...),
+		"different method": knnKey(blobindex.JB, 10, q...),
+		"range":            searchKey(blobindex.XJB, blobindex.SearchRequest{Query: q, Radius: 3.5}, false),
+		"different coord":  knnKey(blobindex.XJB, 10, 1.25, -2.25),
+		"refined":          searchKey(blobindex.XJB, blobindex.SearchRequest{Query: q, K: 10, Refine: true, Multiplier: 6}, false),
+		"different mult":   searchKey(blobindex.XJB, blobindex.SearchRequest{Query: q, K: 10, Refine: true, Multiplier: 3}, false),
+		"include keys":     searchKey(blobindex.XJB, req, true),
 	} {
 		if other == base {
 			t.Errorf("%s produced an identical key", name)
@@ -138,7 +146,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				key := searchKey('k', blobindex.XJB, i%32, 0, []float64{float64(g % 3)}, false, 0)
+				key := knnKey(blobindex.XJB, i%32, float64(g%3))
 				if _, ok := c.get(key); !ok {
 					c.put(key, res(int64(i)), c.generation())
 				}
@@ -252,7 +260,7 @@ func waitForUnit(t *testing.T, cond func() bool) {
 
 func ExampleCacheStats() {
 	c := newResultCache(2, 1)
-	k := searchKey('k', blobindex.XJB, 3, 0, []float64{1}, false, 0)
+	k := knnKey(blobindex.XJB, 3, 1)
 	c.put(k, res(42), c.generation())
 	_, hit := c.get(k)
 	fmt.Println(hit)

@@ -4,8 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-
-	"blobindex"
 )
 
 // flightGroup coalesces identical concurrent searches: while one request
@@ -32,7 +30,7 @@ type flightGroup struct {
 
 type flightCall struct {
 	done chan struct{}
-	val  []blobindex.Neighbor
+	val  []byte
 	err  error
 }
 
@@ -44,7 +42,7 @@ func newFlightGroup() *flightGroup {
 // concurrent callers with the same key. shared reports that the result (or
 // error) was produced by a different caller's fn. A follower whose own ctx
 // dies while waiting gets its ctx error with shared == false.
-func (g *flightGroup) do(ctx context.Context, key string, fn func() ([]blobindex.Neighbor, error)) (val []blobindex.Neighbor, shared bool, err error) {
+func (g *flightGroup) do(ctx context.Context, key string, fn func() ([]byte, error)) (val []byte, shared bool, err error) {
 	g.mu.Lock()
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"blobindex"
+	"blobindex/internal/wire"
 )
 
 // faultyIndex is a Queryer whose searches and writes fail with whatever
@@ -94,7 +95,7 @@ func TestStorageErrorStatuses(t *testing.T) {
 		if got := resp.Header.Get("Retry-After") != ""; got != tc.wantRetry {
 			t.Errorf("%s search: Retry-After present = %v, want %v", tc.name, got, tc.wantRetry)
 		}
-		resp, _ = postJSON(t, ts.Client(), ts.URL+"/v1/insert", WriteRequest{Key: []float64{1, 1}, RID: 9})
+		resp, _ = postJSON(t, ts.Client(), ts.URL+"/v1/insert", wire.WriteRequest{Key: []float64{1, 1}, RID: 9})
 		if resp.StatusCode != tc.wantStatus {
 			t.Errorf("%s insert: status = %d, want %d", tc.name, resp.StatusCode, tc.wantStatus)
 		}

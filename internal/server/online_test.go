@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"blobindex"
+	"blobindex/internal/wire"
 )
 
 // TestServeOnlineIndex serves an online (WAL-backed) index: writes go through
@@ -41,7 +42,7 @@ func TestServeOnlineIndex(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("knn status = %d, body %s", resp.StatusCode, body)
 	}
-	var sr SearchResponse
+	var sr wire.SearchResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestServeOnlineIndex(t *testing.T) {
 
 	// Writes through the server land in the WAL.
 	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/insert",
-		WriteRequest{Key: []float64{1, 2, 3}, RID: 9001})
+		wire.WriteRequest{Key: []float64{1, 2, 3}, RID: 9001})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("insert status = %d, body %s", resp.StatusCode, body)
 	}
@@ -147,7 +148,7 @@ func TestCompactEndpoint(t *testing.T) {
 
 	q := []float64{50, 50, 50}
 	_, body := postJSON(t, ts.Client(), ts.URL+"/v1/knn", knnBody(q, 10))
-	var before SearchResponse
+	var before wire.SearchResponse
 	if err := json.Unmarshal(body, &before); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestCompactEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compact status = %d, body %s", resp.StatusCode, body)
 	}
-	var wr WriteResponse
+	var wr wire.WriteResponse
 	if err := json.Unmarshal(body, &wr); err != nil || !wr.OK {
 		t.Fatalf("compact response: %v %s", err, body)
 	}
@@ -164,7 +165,7 @@ func TestCompactEndpoint(t *testing.T) {
 	// The stack is compacted down to one immutable segment plus the fresh
 	// active, and the same query re-runs (no stale cache) with the same answer.
 	_, body = postJSON(t, ts.Client(), ts.URL+"/v1/knn", knnBody(q, 10))
-	var after SearchResponse
+	var after wire.SearchResponse
 	if err := json.Unmarshal(body, &after); err != nil {
 		t.Fatal(err)
 	}

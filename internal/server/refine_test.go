@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"blobindex"
+	"blobindex/internal/wire"
 )
 
 // buildRefineIndex builds a real filter-and-refine deployment: full-dim
@@ -60,11 +61,11 @@ func TestServeRefineEndToEnd(t *testing.T) {
 	defer ts.Close()
 
 	q := feats[17]
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/knn", KNNRequest{Query: q, K: 5, Refine: true})
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/knn", wire.KNNRequest{Query: q, K: 5, Refine: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("refined knn status = %d, body %s", resp.StatusCode, body)
 	}
-	var sr SearchResponse
+	var sr wire.SearchResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -84,20 +85,24 @@ func TestServeRefineEndToEnd(t *testing.T) {
 	// Asking for the same rung through target_recall instead of the default
 	// resolves to the same effective multiplier, so it shares the cache line.
 	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/knn",
-		KNNRequest{Query: q, K: 5, Refine: true, TargetRecall: blobindex.DefaultTargetRecall})
+		wire.KNNRequest{Query: q, K: 5, Refine: true, TargetRecall: blobindex.DefaultTargetRecall})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("target_recall knn status = %d, body %s", resp.StatusCode, body)
 	}
+	sr = wire.SearchResponse{}
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
 	if !sr.Cached {
 		t.Error("target_recall request at the default rung missed the cache")
 	}
+	if want := blobindex.MultiplierForRecall(blobindex.DefaultTargetRecall); !sr.Refined || sr.Multiplier != want {
+		t.Errorf("refined cache hit reported refined=%v multiplier=%d, want true and %d", sr.Refined, sr.Multiplier, want)
+	}
 
 	// A different multiplier is a different search: no cache sharing.
 	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/knn",
-		KNNRequest{Query: q, K: 5, Refine: true, Multiplier: 2})
+		wire.KNNRequest{Query: q, K: 5, Refine: true, Multiplier: 2})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("multiplier knn status = %d, body %s", resp.StatusCode, body)
 	}
@@ -114,11 +119,11 @@ func TestServeRefineEndToEnd(t *testing.T) {
 	// An unrefined query (index-dim) over the same server still works and is
 	// keyed apart from the refined ones.
 	iq := []float64{0.1, 0.2, 0.3, 0.4}
-	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/knn", KNNRequest{Query: iq, K: 5})
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/knn", wire.KNNRequest{Query: iq, K: 5})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("unrefined knn status = %d, body %s", resp.StatusCode, body)
 	}
-	sr = SearchResponse{} // omitempty: stale refine fields survive Unmarshal
+	sr = wire.SearchResponse{} // omitempty: stale refine fields survive Unmarshal
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +178,7 @@ func TestServeRefineValidation(t *testing.T) {
 	tsPlain := httptest.NewServer(plain.Handler())
 	defer tsPlain.Close()
 	resp, body := postJSON(t, tsPlain.Client(), tsPlain.URL+"/v1/knn",
-		KNNRequest{Query: []float64{1, 2, 3}, K: 2, Refine: true})
+		wire.KNNRequest{Query: []float64{1, 2, 3}, K: 2, Refine: true})
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("refine without sidecar: status = %d, want 501 (body %s)", resp.StatusCode, body)
 	}
@@ -188,13 +193,13 @@ func TestServeRefineValidation(t *testing.T) {
 
 	cases := []struct {
 		name string
-		req  KNNRequest
+		req  wire.KNNRequest
 	}{
-		{"refined query at index dim", KNNRequest{Query: []float64{1, 2, 3, 4}, K: 2, Refine: true}},
-		{"unrefined query at full dim", KNNRequest{Query: feats[0], K: 2}},
-		{"recall target out of range", KNNRequest{Query: feats[0], K: 2, Refine: true, TargetRecall: 1.5}},
-		{"recall target without refine", KNNRequest{Query: []float64{1, 2, 3, 4}, K: 2, TargetRecall: 0.9}},
-		{"both recall knobs", KNNRequest{Query: feats[0], K: 2, Refine: true, TargetRecall: 0.9, Multiplier: 4}},
+		{"refined query at index dim", wire.KNNRequest{Query: []float64{1, 2, 3, 4}, K: 2, Refine: true}},
+		{"unrefined query at full dim", wire.KNNRequest{Query: feats[0], K: 2}},
+		{"recall target out of range", wire.KNNRequest{Query: feats[0], K: 2, Refine: true, TargetRecall: 1.5}},
+		{"recall target without refine", wire.KNNRequest{Query: []float64{1, 2, 3, 4}, K: 2, TargetRecall: 0.9}},
+		{"both recall knobs", wire.KNNRequest{Query: feats[0], K: 2, Refine: true, TargetRecall: 0.9, Multiplier: 4}},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/knn", tc.req)

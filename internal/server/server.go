@@ -7,7 +7,9 @@
 // queries, a sharded LRU result cache invalidated on writes, and
 // per-endpoint latency histograms — in that order: a request is admitted,
 // then coalesced, then served from cache, and only then runs an index
-// traversal. See DESIGN.md §8.
+// traversal. The cache holds encoded responses, so a hit copies bytes. The
+// protocol itself (types, encoder, HTTP plumbing) is internal/wire's. See
+// DESIGN.md §8.
 //
 // The package serves any Queryer; cmd/blobserved wires it to a
 // *blobindex.Index opened demand-paged from a saved index file.
@@ -16,20 +18,19 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
 	"math"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"blobindex"
 	"blobindex/internal/buildinfo"
+	"blobindex/internal/wire"
 )
 
 // Queryer is the slice of the blobindex facade the server needs.
@@ -258,80 +259,6 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the server's HTTP handler (mount at /).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// --- request/response wire types ---
-
-// KNNRequest is the POST /v1/knn body.
-type KNNRequest struct {
-	Query []float64 `json:"query"`
-	K     int       `json:"k"`
-	// Refine asks for the filter-and-refine tier: query must then be a
-	// full feature vector (the refine store's dimensionality), and the
-	// returned distances are exact full-space quadratic-form distances.
-	Refine bool `json:"refine,omitempty"`
-	// TargetRecall picks the refine tier's calibrated candidate
-	// multiplier; 0 means the library default. Mutually exclusive with
-	// Multiplier, valid only with Refine.
-	TargetRecall float64 `json:"target_recall,omitempty"`
-	// Multiplier overrides the candidate multiplier directly. Valid only
-	// with Refine.
-	Multiplier int `json:"multiplier,omitempty"`
-	// IncludeKeys asks for each neighbor's coordinates in the response;
-	// default off, since serving typically needs only (rid, dist).
-	IncludeKeys bool `json:"include_keys,omitempty"`
-}
-
-// RangeRequest is the POST /v1/range body.
-type RangeRequest struct {
-	Query       []float64 `json:"query"`
-	Radius      float64   `json:"radius"`
-	IncludeKeys bool      `json:"include_keys,omitempty"`
-}
-
-// NeighborJSON is one search result on the wire. Dist2 carries the squared
-// distance exactly as the traversal computed it — Go's JSON encoding is the
-// shortest round-trippable decimal, so the float64 bits survive the wire —
-// which is what lets a cluster router re-merge per-shard result lists by the
-// same (Dist2, RID) total order the index itself sorts by, bit for bit.
-type NeighborJSON struct {
-	RID   int64     `json:"rid"`
-	Dist  float64   `json:"dist"`
-	Dist2 float64   `json:"dist2"`
-	Key   []float64 `json:"key,omitempty"`
-}
-
-// SearchResponse is the POST /v1/knn and /v1/range response.
-type SearchResponse struct {
-	Neighbors []NeighborJSON `json:"neighbors"`
-	// Refined reports the refine tier re-ranked the results by exact
-	// full-space distance; Multiplier is the candidate multiplier the
-	// filter stage used (omitted on non-refined responses).
-	Refined    bool `json:"refined,omitempty"`
-	Multiplier int  `json:"multiplier,omitempty"`
-	// Cached reports the result was served from the result cache without an
-	// index search; Coalesced that it was shared from a concurrent
-	// identical request's search.
-	Cached    bool `json:"cached"`
-	Coalesced bool `json:"coalesced"`
-}
-
-// WriteRequest is the POST /v1/insert and /v1/delete body.
-type WriteRequest struct {
-	Key []float64 `json:"key"`
-	RID int64     `json:"rid"`
-}
-
-// WriteResponse acknowledges a write.
-type WriteResponse struct {
-	OK bool `json:"ok"`
-	// Existed is meaningful for deletes: whether the (key, rid) pair was
-	// present.
-	Existed bool `json:"existed,omitempty"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 // --- handler plumbing ---
 
 // instrument wraps a handler to count the request and record its latency
@@ -344,42 +271,6 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 		status := h(w, r)
 		hist.observe(time.Since(start), status >= 400)
 	}
-}
-
-// bodyPool recycles writeJSON's response buffers: a 200-NN body is ~12 KB,
-// and a fresh one per request is garbage the hot path cannot afford.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// writeJSON encodes v before the status line goes out, so a value
-// encoding/json rejects — a distance that overflowed to +Inf — answers 500
-// with a well-formed error body rather than a 200 with a broken one.
-func writeJSON(w http.ResponseWriter, status int, v any) int {
-	body := bodyPool.Get().(*bytes.Buffer)
-	defer func() { body.Reset(); bodyPool.Put(body) }()
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(body).Encode(v); err != nil {
-		status = http.StatusInternalServerError
-		body.Reset()
-		_ = json.NewEncoder(body).Encode(errorResponse{Error: "encode response: " + err.Error()})
-		w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
-	}
-	w.WriteHeader(status)
-	_, _ = w.Write(body.Bytes())
-	return status
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) int {
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	return writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// decodeBody decodes a bounded JSON body into v.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }
 
 func (s *Server) validQuery(q []float64) error {
@@ -461,18 +352,20 @@ func (s *Server) recordStages(resp blobindex.SearchResponse) {
 }
 
 // runSearch is the shared admitted→coalesced→cached→index pipeline behind
-// the two search endpoints. search runs the actual index traversal under
-// the request context.
-func (s *Server) runSearch(ctx context.Context, key string, search func() ([]blobindex.Neighbor, error)) (res []blobindex.Neighbor, cached, coalesced bool, err error) {
+// the two search endpoints. It answers with the response's encoded
+// neighbours array: the flight leader encodes once, and the cache and every
+// follower share those bytes.
+func (s *Server) runSearch(ctx context.Context, req blobindex.SearchRequest, includeKeys bool) (neighbors []byte, cached, coalesced bool, err error) {
 	if err := s.adm.acquire(ctx); err != nil {
 		return nil, false, false, err
 	}
 	defer s.adm.release()
+	key := searchKey(s.method, req, includeKeys)
 	// Leader flights check the cache and fill it on success; hit is set by
 	// the flight that actually ran (followers inherit the leader's result,
 	// reported as coalesced rather than cached).
 	var hit bool
-	fn := func() ([]blobindex.Neighbor, error) {
+	fn := func() ([]byte, error) {
 		if v, ok := s.cache.get(key); ok {
 			hit = true
 			return v, nil
@@ -481,41 +374,50 @@ func (s *Server) runSearch(ctx context.Context, key string, search func() ([]blo
 		// raced an Insert/Delete/Tighten is stamped pre-write and dropped,
 		// never cached as fresh.
 		gen := s.cache.generation()
-		v, err := search()
+		resp, err := s.idx.Search(ctx, req)
+		// Feed the readiness gauge once per index traversal: followers share
+		// the leader's outcome and cache hits never touched storage. An
+		// answer that then fails to encode was still a successful search.
+		s.recordStorage(err)
 		if err != nil {
 			return nil, err
+		}
+		s.recordStages(resp)
+		v, err := encodeNeighbors(resp.Neighbors, includeKeys)
+		if err != nil {
+			return nil, err // never cached: a repeat fails the same way
 		}
 		s.cache.put(key, v, gen)
 		return v, nil
 	}
 	for attempt := 0; ; attempt++ {
 		hit = false
-		res, coalesced, err = s.flights.do(ctx, key, fn)
+		neighbors, coalesced, err = s.flights.do(ctx, key, fn)
 		// A coalesced context error is the *leader's* — its client hung up
 		// mid-search. This request is still live, so rerun the flight as
 		// the new leader instead of failing an innocent caller.
 		if err != nil && coalesced && isCtxErr(err) && ctx.Err() == nil && attempt < 2 {
 			continue
 		}
-		// Feed the readiness gauge once per index traversal: followers share
-		// the leader's outcome and cache hits never touched storage, so only
-		// the flight that actually ran counts.
-		if !coalesced && !hit {
-			s.recordStorage(err)
-		}
-		return res, hit && !coalesced, coalesced, err
+		return neighbors, hit && !coalesced, coalesced, err
 	}
 }
 
-func neighborsJSON(res []blobindex.Neighbor, includeKeys bool) []NeighborJSON {
-	out := make([]NeighborJSON, len(res))
-	for i, n := range res {
-		out[i] = NeighborJSON{RID: n.RID, Dist: n.Dist, Dist2: n.Dist2}
-		if includeKeys {
-			out[i].Key = n.Key
-		}
+// encodePool recycles the flight leaders' encode buffers.
+var encodePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeNeighbors encodes a search's neighbours array into a pooled buffer
+// and returns an exact-size copy: the value the cache holds and every
+// follower shares.
+func encodeNeighbors(ns []blobindex.Neighbor, includeKeys bool) ([]byte, error) {
+	buf := encodePool.Get().(*[]byte)
+	defer encodePool.Put(buf)
+	b, err := wire.AppendNeighbors((*buf)[:0], ns, includeKeys)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	*buf = b
+	return bytes.Clone(b), nil
 }
 
 func admissionStatus(err error) (int, bool) {
@@ -531,22 +433,22 @@ func admissionStatus(err error) (int, bool) {
 // --- endpoints ---
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) int {
-	var req KNNRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	var req wire.KNNRequest
+	if err := wire.DecodeBody(w, r, &req); err != nil {
+		return wire.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	if req.Refine {
 		if s.refineDim == 0 {
-			return writeError(w, http.StatusNotImplemented, "refine not available: no full-feature store attached")
+			return wire.WriteError(w, http.StatusNotImplemented, "refine not available: no full-feature store attached")
 		}
 		if err := s.validQueryDim(req.Query, s.refineDim, "refine store"); err != nil {
-			return writeError(w, http.StatusBadRequest, "%v", err)
+			return wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		}
 	} else if err := s.validQuery(req.Query); err != nil {
-		return writeError(w, http.StatusBadRequest, "%v", err)
+		return wire.WriteError(w, http.StatusBadRequest, "%v", err)
 	}
 	if req.K <= 0 || req.K > s.cfg.MaxK {
-		return writeError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", s.cfg.MaxK, req.K)
+		return wire.WriteError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", s.cfg.MaxK, req.K)
 	}
 	sreq := blobindex.SearchRequest{
 		Query:        req.Query,
@@ -556,7 +458,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) int {
 		Multiplier:   req.Multiplier,
 	}
 	if err := sreq.Validate(); err != nil {
-		return writeError(w, http.StatusBadRequest, "%v", err)
+		return wire.WriteError(w, http.StatusBadRequest, "%v", err)
 	}
 	// Resolve the effective multiplier up front: two requests asking for the
 	// same ladder rung by different knobs (target_recall vs multiplier) run
@@ -573,24 +475,14 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) int {
 		}
 		sreq.Multiplier, sreq.TargetRecall = multiplier, 0
 	}
-	ctx := r.Context()
-	key := searchKey('k', s.method, req.K, 0, req.Query, req.Refine, multiplier)
-	res, cached, coalesced, err := s.runSearch(ctx, key, func() ([]blobindex.Neighbor, error) {
-		resp, err := s.idx.Search(ctx, sreq)
-		if err != nil {
-			return nil, err
-		}
-		s.recordStages(resp)
-		return resp.Neighbors, nil
-	})
+	neighbors, cached, coalesced, err := s.runSearch(r.Context(), sreq, req.IncludeKeys)
 	if err != nil {
 		if status, ok := admissionStatus(err); ok {
-			return writeError(w, status, "%v", err)
+			return wire.WriteError(w, status, "%v", err)
 		}
-		return writeError(w, searchStatus(err), "knn search: %v", err)
+		return wire.WriteError(w, searchStatus(err), "knn search: %v", err)
 	}
-	return writeJSON(w, http.StatusOK, SearchResponse{
-		Neighbors:  neighborsJSON(res, req.IncludeKeys),
+	return wire.WriteSearch(w, neighbors, &wire.SearchResponse{
 		Refined:    req.Refine,
 		Multiplier: multiplier,
 		Cached:     cached,
@@ -599,80 +491,68 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) int {
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) int {
-	var req RangeRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	var req wire.RangeRequest
+	if err := wire.DecodeBody(w, r, &req); err != nil {
+		return wire.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	if err := s.validQuery(req.Query); err != nil {
-		return writeError(w, http.StatusBadRequest, "%v", err)
+		return wire.WriteError(w, http.StatusBadRequest, "%v", err)
 	}
 	if req.Radius < 0 || math.IsNaN(req.Radius) || math.IsInf(req.Radius, 0) {
-		return writeError(w, http.StatusBadRequest, "radius must be finite and non-negative")
+		return wire.WriteError(w, http.StatusBadRequest, "radius must be finite and non-negative")
 	}
 	if req.Radius == 0 {
 		// The unified pipeline treats a zero radius as "no operation
 		// selected"; serve the always-empty result without a traversal.
-		return writeJSON(w, http.StatusOK, SearchResponse{Neighbors: []NeighborJSON{}})
+		return wire.WriteJSON(w, http.StatusOK, &wire.SearchResponse{})
 	}
-	ctx := r.Context()
-	key := searchKey('r', s.method, 0, req.Radius, req.Query, false, 0)
-	res, cached, coalesced, err := s.runSearch(ctx, key, func() ([]blobindex.Neighbor, error) {
-		resp, err := s.idx.Search(ctx, blobindex.SearchRequest{Query: req.Query, Radius: req.Radius})
-		if err != nil {
-			return nil, err
-		}
-		s.recordStages(resp)
-		return resp.Neighbors, nil
-	})
+	sreq := blobindex.SearchRequest{Query: req.Query, Radius: req.Radius}
+	neighbors, cached, coalesced, err := s.runSearch(r.Context(), sreq, req.IncludeKeys)
 	if err != nil {
 		if status, ok := admissionStatus(err); ok {
-			return writeError(w, status, "%v", err)
+			return wire.WriteError(w, status, "%v", err)
 		}
-		return writeError(w, searchStatus(err), "range search: %v", err)
+		return wire.WriteError(w, searchStatus(err), "range search: %v", err)
 	}
-	return writeJSON(w, http.StatusOK, SearchResponse{
-		Neighbors: neighborsJSON(res, req.IncludeKeys),
-		Cached:    cached,
-		Coalesced: coalesced,
-	})
+	return wire.WriteSearch(w, neighbors, &wire.SearchResponse{Cached: cached, Coalesced: coalesced})
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) int {
-	var req WriteRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	var req wire.WriteRequest
+	if err := wire.DecodeBody(w, r, &req); err != nil {
+		return wire.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	if err := s.validQuery(req.Key); err != nil {
-		return writeError(w, http.StatusBadRequest, "%v", err)
+		return wire.WriteError(w, http.StatusBadRequest, "%v", err)
 	}
 	s.writeMu.Lock()
 	err := s.idx.Insert(blobindex.Point{Key: req.Key, RID: req.RID})
 	s.writeMu.Unlock()
 	s.recordStorage(err)
 	if err != nil {
-		return writeError(w, searchStatus(err), "insert: %v", err)
+		return wire.WriteError(w, searchStatus(err), "insert: %v", err)
 	}
 	s.cache.invalidate()
-	return writeJSON(w, http.StatusOK, WriteResponse{OK: true})
+	return wire.WriteJSON(w, http.StatusOK, wire.WriteResponse{OK: true})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) int {
-	var req WriteRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	var req wire.WriteRequest
+	if err := wire.DecodeBody(w, r, &req); err != nil {
+		return wire.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	if err := s.validQuery(req.Key); err != nil {
-		return writeError(w, http.StatusBadRequest, "%v", err)
+		return wire.WriteError(w, http.StatusBadRequest, "%v", err)
 	}
 	s.writeMu.Lock()
 	existed, err := s.idx.Delete(req.Key, req.RID)
 	s.writeMu.Unlock()
 	s.recordStorage(err)
 	if err != nil {
-		return writeError(w, searchStatus(err), "delete: %v", err)
+		return wire.WriteError(w, searchStatus(err), "delete: %v", err)
 	}
 	s.cache.invalidate()
-	return writeJSON(w, http.StatusOK, WriteResponse{OK: true, Existed: existed})
+	return wire.WriteJSON(w, http.StatusOK, wire.WriteResponse{OK: true, Existed: existed})
 }
 
 func (s *Server) handleTighten(w http.ResponseWriter, r *http.Request) int {
@@ -681,10 +561,10 @@ func (s *Server) handleTighten(w http.ResponseWriter, r *http.Request) int {
 	s.writeMu.Unlock()
 	s.recordStorage(err)
 	if err != nil {
-		return writeError(w, searchStatus(err), "tighten: %v", err)
+		return wire.WriteError(w, searchStatus(err), "tighten: %v", err)
 	}
 	s.cache.invalidate()
-	return writeJSON(w, http.StatusOK, WriteResponse{OK: true})
+	return wire.WriteJSON(w, http.StatusOK, wire.WriteResponse{OK: true})
 }
 
 // handleCompact seals the active segment and compacts every pending one, on
@@ -693,27 +573,27 @@ func (s *Server) handleTighten(w http.ResponseWriter, r *http.Request) int {
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) int {
 	c, ok := s.idx.(compactor)
 	if !ok {
-		return writeError(w, http.StatusNotImplemented, "compact not available: index has no maintenance surface")
+		return wire.WriteError(w, http.StatusNotImplemented, "compact not available: index has no maintenance surface")
 	}
 	err := c.SealActive()
 	if err == nil {
 		err = c.CompactPending()
 	}
 	if errors.Is(err, blobindex.ErrNotOnline) {
-		return writeError(w, http.StatusNotImplemented, "compact: %v", err)
+		return wire.WriteError(w, http.StatusNotImplemented, "compact: %v", err)
 	}
 	s.recordStorage(err)
 	if err != nil {
-		return writeError(w, searchStatus(err), "compact: %v", err)
+		return wire.WriteError(w, searchStatus(err), "compact: %v", err)
 	}
 	// The reorg hook already advanced the cache generation for the swap, but
 	// invalidate here too so a compactor without a hook stays correct.
 	s.cache.invalidate()
-	return writeJSON(w, http.StatusOK, WriteResponse{OK: true})
+	return wire.WriteJSON(w, http.StatusOK, wire.WriteResponse{OK: true})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) int {
-	return writeJSON(w, http.StatusOK, s.Stats())
+	return wire.WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -10,12 +10,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"blobindex"
+	"blobindex/internal/wire"
 )
 
 // stubIndex is a controllable Queryer: it counts index searches, can block
@@ -91,7 +93,7 @@ func postJSON(t *testing.T, client *http.Client, url string, body any) (*http.Re
 	return resp, out
 }
 
-func knnBody(q []float64, k int) KNNRequest { return KNNRequest{Query: q, K: k} }
+func knnBody(q []float64, k int) wire.KNNRequest { return wire.KNNRequest{Query: q, K: k} }
 
 // buildIndex builds a small real index for end-to-end tests.
 func buildIndex(t *testing.T, n, dim int) *blobindex.Index {
@@ -124,11 +126,11 @@ func TestServeKNNEndToEnd(t *testing.T) {
 	q := []float64{50, 50, 50}
 	want := idx.SearchKNN(q, 10)
 
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/knn", KNNRequest{Query: q, K: 10, IncludeKeys: true})
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/knn", wire.KNNRequest{Query: q, K: 10, IncludeKeys: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
-	var sr SearchResponse
+	var sr wire.SearchResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func TestServeKNNEndToEnd(t *testing.T) {
 	}
 
 	// The identical query again: a cache hit, same answer.
-	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/knn", knnBody(q, 10))
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/knn", wire.KNNRequest{Query: q, K: 10, IncludeKeys: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("repeat status = %d", resp.StatusCode)
 	}
@@ -160,7 +162,7 @@ func TestServeKNNEndToEnd(t *testing.T) {
 	}
 	// Sub-quantum jitter on a coordinate must land on the same cache line.
 	jq := []float64{50 + 1e-9, 50, 50}
-	_, body = postJSON(t, ts.Client(), ts.URL+"/v1/knn", knnBody(jq, 10))
+	_, body = postJSON(t, ts.Client(), ts.URL+"/v1/knn", wire.KNNRequest{Query: jq, K: 10, IncludeKeys: true})
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +172,7 @@ func TestServeKNNEndToEnd(t *testing.T) {
 
 	// Range endpoint round-trips too.
 	wantRange := idx.SearchRange(q, 15)
-	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/range", RangeRequest{Query: q, Radius: 15})
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/range", wire.RangeRequest{Query: q, Radius: 15})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("range status = %d, body %s", resp.StatusCode, body)
 	}
@@ -235,8 +237,10 @@ func getStats(t *testing.T, ts *httptest.Server) (*http.Response, []byte) {
 }
 
 // TestNonFiniteDistanceAnswers500 posts a finite query whose squared
-// distance overflows to +Inf, which encoding/json cannot encode: the answer
-// must be a 500 with a complete JSON error body, not a 200 cut short.
+// distance overflows to +Inf, which JSON cannot carry: the answer is a 500
+// with a JSON error body, every time — an unencodable result is never
+// cached — and the readiness gauge counts each as the successful search it
+// was, not as a storage failure.
 func TestNonFiniteDistanceAnswers500(t *testing.T) {
 	srv, err := New(Config{Index: buildIndex(t, 200, 5)})
 	if err != nil {
@@ -245,16 +249,114 @@ func TestNonFiniteDistanceAnswers500(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/knn", knnBody([]float64{1e200, 0, 0, 0, 0}, 5))
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500; body %s", resp.StatusCode, body)
+	for i := 0; i < 2; i++ {
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/knn", knnBody([]float64{1e200, 0, 0, 0, 0}, 5))
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("attempt %d: status = %d, want 500; body %s", i, resp.StatusCode, body)
+		}
+		var e wire.ErrorResponse
+		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+			t.Fatalf("attempt %d: body %q is not a JSON error (err %v)", i, body, err)
+		}
 	}
-	if resp.ContentLength != int64(len(body)) {
-		t.Errorf("Content-Length %d, body %d bytes", resp.ContentLength, len(body))
+	st := srv.Stats()
+	if st.Cache.Entries != 0 || st.Cache.Hits != 0 {
+		t.Errorf("cache = %+v, want the unencodable result never stored", st.Cache)
 	}
-	var e errorResponse
-	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
-		t.Fatalf("body %q is not a JSON error (err %v)", body, err)
+	if st.Storage.WindowSamples != 2 || st.Storage.WindowErrorRate != 0 ||
+		st.Storage.TransientErrors+st.Storage.CorruptErrors != 0 {
+		t.Errorf("storage = %+v, want two successful searches", st.Storage)
+	}
+}
+
+// TestIncludeKeysIsPartOfCacheIdentity: a cached body holds its keys or
+// not, so a request with include_keys is never answered from a keys-less
+// entry, nor the reverse, on either search endpoint.
+func TestIncludeKeysIsPartOfCacheIdentity(t *testing.T) {
+	const dim = 3
+	srv, err := New(Config{Index: buildIndex(t, 300, dim)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	q := []float64{40, 60, 50}
+	for _, ep := range []struct {
+		path string
+		body func(keys bool) any
+	}{
+		{"/v1/knn", func(keys bool) any { return wire.KNNRequest{Query: q, K: 7, IncludeKeys: keys} }},
+		{"/v1/range", func(keys bool) any { return wire.RangeRequest{Query: q, Radius: 20, IncludeKeys: keys} }},
+	} {
+		for i, step := range []struct{ keys, cached bool }{
+			{false, false}, {true, false}, {true, true}, {false, true},
+		} {
+			resp, body := postJSON(t, ts.Client(), ts.URL+ep.path, ep.body(step.keys))
+			var sr wire.SearchResponse
+			if err := json.Unmarshal(body, &sr); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s step %d: status %d, body %s (%v)", ep.path, i, resp.StatusCode, body, err)
+			}
+			if len(sr.Neighbors) == 0 {
+				t.Fatalf("%s step %d: no neighbours, the test proves nothing", ep.path, i)
+			}
+			if sr.Cached != step.cached {
+				t.Errorf("%s step %d (include_keys %v): cached = %v, want %v", ep.path, i, step.keys, sr.Cached, step.cached)
+			}
+			for _, n := range sr.Neighbors {
+				if (len(n.Key) == dim) != step.keys {
+					t.Errorf("%s step %d (include_keys %v): neighbour %d has key %v", ep.path, i, step.keys, n.RID, n.Key)
+					break
+				}
+			}
+		}
+	}
+}
+
+// discardWriter is a reusable ResponseWriter that keeps nothing, so an
+// allocation count over Handler() sees only the handler's own.
+type discardWriter struct {
+	h      http.Header
+	status int
+}
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(status int)      { d.status = status }
+
+// TestCacheHitAllocsIndependentOfK: a cache hit copies the stored bytes and
+// does no per-neighbour work, so it allocates as often at k = 200 as at
+// k = 10.
+func TestCacheHitAllocsIndependentOfK(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	hitAllocs := func(k int) float64 {
+		stub := newStub(2)
+		stub.res = make([]blobindex.Neighbor, k)
+		for i := range stub.res {
+			stub.res[i] = blobindex.Neighbor{RID: int64(i), Dist: float64(i) / 3, Dist2: float64(i*i) / 9}
+		}
+		srv, err := New(Config{Index: stub})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := []byte(fmt.Sprintf(`{"query":[1,2],"k":%d}`, k))
+		w := &discardWriter{h: http.Header{}}
+		serve := func() {
+			srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/knn", bytes.NewReader(body)))
+		}
+		serve() // the miss that fills the cache
+		allocs := testing.AllocsPerRun(200, serve)
+		if w.status != http.StatusOK || stub.searches.Load() != 1 {
+			t.Fatalf("k=%d: status %d after %d searches, want every timed request a 200 hit", k, w.status, stub.searches.Load())
+		}
+		return allocs
+	}
+	small, large := hitAllocs(10), hitAllocs(200)
+	t.Logf("allocations per cache hit: %.0f at k=10, %.0f at k=200", small, large)
+	if small != large {
+		t.Errorf("a hit allocates %.0f times at k=10 but %.0f at k=200", small, large)
 	}
 }
 
@@ -362,12 +464,14 @@ func TestAdmissionRejection(t *testing.T) {
 }
 
 // TestCoalescing fires N identical concurrent queries at a blocked index
-// and asserts exactly one index search ran — the others shared its flight.
+// and asserts exactly one index search ran — the others shared its flight —
+// and that the leader's, the followers' and a later cache hit's bodies
+// differ only in their cached/coalesced flags.
 func TestCoalescing(t *testing.T) {
 	const n = 8
 	stub := newStub(2)
 	stub.block = make(chan struct{})
-	srv, err := New(Config{Index: stub, MaxInFlight: n, MaxQueue: 0, CacheEntries: -1})
+	srv, err := New(Config{Index: stub, MaxInFlight: n, MaxQueue: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,16 +479,14 @@ func TestCoalescing(t *testing.T) {
 	defer ts.Close()
 
 	type result struct {
-		status    int
-		coalesced bool
+		status int
+		body   []byte
 	}
 	results := make(chan result, n)
 	for i := 0; i < n; i++ {
 		go func() {
 			resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/knn", knnBody([]float64{9, 9}, 5))
-			var sr SearchResponse
-			_ = json.Unmarshal(body, &sr)
-			results <- result{resp.StatusCode, sr.Coalesced}
+			results <- result{resp.StatusCode, body}
 		}()
 	}
 	// One leader is inside the (blocked) search; the other n-1 must all be
@@ -395,14 +497,30 @@ func TestCoalescing(t *testing.T) {
 	}
 	close(stub.block)
 
+	const (
+		leaderTail   = `,"cached":false,"coalesced":false}` + "\n"
+		followerTail = `,"cached":false,"coalesced":true}` + "\n"
+		hitTail      = `,"cached":true,"coalesced":false}` + "\n"
+	)
+	var head string
+	sameHead := func(body []byte, tail string) bool {
+		h, ok := strings.CutSuffix(string(body), tail)
+		if ok && head == "" {
+			head = h
+		}
+		return ok && h == head
+	}
 	var coalesced int
 	for i := 0; i < n; i++ {
 		r := <-results
 		if r.status != http.StatusOK {
 			t.Errorf("status = %d, want 200", r.status)
 		}
-		if r.coalesced {
+		switch {
+		case sameHead(r.body, followerTail):
 			coalesced++
+		case !sameHead(r.body, leaderTail):
+			t.Errorf("body %q is neither the leader's nor a follower's", r.body)
 		}
 	}
 	if got := stub.searches.Load(); got != 1 {
@@ -414,6 +532,9 @@ func TestCoalescing(t *testing.T) {
 	st := srv.Stats()
 	if st.Coalesce.Leaders != 1 || st.Coalesce.Followers != n-1 {
 		t.Errorf("coalesce stats = %+v", st.Coalesce)
+	}
+	if _, body := postJSON(t, ts.Client(), ts.URL+"/v1/knn", knnBody([]float64{9, 9}, 5)); !sameHead(body, hitTail) {
+		t.Errorf("cache hit body %q, want %q + %q", body, head, hitTail)
 	}
 }
 
@@ -429,9 +550,9 @@ func TestCacheInvalidationOnWrite(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	query := func() SearchResponse {
+	query := func() wire.SearchResponse {
 		_, body := postJSON(t, ts.Client(), ts.URL+"/v1/knn", knnBody([]float64{3, 4}, 5))
-		var sr SearchResponse
+		var sr wire.SearchResponse
 		if err := json.Unmarshal(body, &sr); err != nil {
 			t.Fatal(err)
 		}
@@ -449,7 +570,7 @@ func TestCacheInvalidationOnWrite(t *testing.T) {
 		t.Fatalf("cached repeat ran a search (count %d)", got)
 	}
 
-	if resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/insert", WriteRequest{Key: []float64{1, 1}, RID: 99}); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/insert", wire.WriteRequest{Key: []float64{1, 1}, RID: 99}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("insert status = %d, body %s", resp.StatusCode, body)
 	}
 	if sr := query(); sr.Cached {
@@ -462,7 +583,7 @@ func TestCacheInvalidationOnWrite(t *testing.T) {
 	if sr := query(); !sr.Cached {
 		t.Error("repeat after re-fill not cached")
 	}
-	if resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/delete", WriteRequest{Key: []float64{1, 1}, RID: 99}); resp.StatusCode != http.StatusOK {
+	if resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/delete", wire.WriteRequest{Key: []float64{1, 1}, RID: 99}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete status = %d", resp.StatusCode)
 	}
 	if sr := query(); sr.Cached {
@@ -555,7 +676,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
 			postJSON(t, ts.Client(), ts.URL+"/v1/insert",
-				WriteRequest{Key: []float64{float64(i), 1}, RID: int64(100000 + i)})
+				wire.WriteRequest{Key: []float64{float64(i), 1}, RID: int64(100000 + i)})
 		}
 	}()
 	wg.Wait()

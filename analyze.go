@@ -101,12 +101,13 @@ func (ix *Index) Analyze(queries []Query, opts AnalyzeOptions) (*Analysis, error
 // AnalyzeCtx is Analyze honoring cancellation: ctx is checked once per
 // index page read, and the first context error aborts the remaining
 // queries and is returned. Safe to run concurrently with searches; the
-// index is not modified.
+// index is not modified. It needs a one-segment index; see ErrMultiSegment.
 func (ix *Index) AnalyzeCtx(ctx context.Context, queries []Query, opts AnalyzeOptions) (*Analysis, error) {
-	tree, err := ix.primary()
-	if err != nil {
-		return nil, err
+	seg, ok := ix.stack.Only()
+	if !ok {
+		return nil, ErrMultiSegment
 	}
+	tree := seg.Tree()
 	qs := make([]amdb.Query, len(queries))
 	for i, q := range queries {
 		qs[i] = amdb.Query{Center: geom.Vector(q.Center), K: q.K}

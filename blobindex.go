@@ -27,6 +27,7 @@
 package blobindex
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -42,6 +43,7 @@ import (
 	"blobindex/internal/segment"
 	"blobindex/internal/str"
 	"blobindex/internal/viz"
+	"blobindex/internal/wal"
 )
 
 // Method names an access method (the bounding predicate family specializing
@@ -198,34 +200,31 @@ func (o Options) extension() (gist.Extension, error) {
 	})
 }
 
+// treeConfig is the per-tree configuration every segment shares.
+func (o Options) treeConfig() gist.Config {
+	return gist.Config{Dim: o.Dim, PageSize: o.PageSize}
+}
+
 // Index is a searchable access method over a point set.
 //
-// Internally an Index is a stack of segments (internal/segment): legacy
-// indexes — New, Build, Open — hold exactly one, and every read path then
-// takes a fast path identical to the pre-segmentation single-tree code.
-// Online indexes (CreateOnline, OpenOnline) grow more: a mutable memory
-// segment absorbs WAL-logged writes and background compaction seals it
-// into immutable pagefile segments, with queries merging across all of
-// them. See DESIGN.md §13.
+// Every Index is a stack of segments (internal/segment) with one write
+// path (online.go): writes apply to the active memory segment at the top
+// of the stack, and a delete that misses it tombstones the segments below.
+// New and Build hold one memory segment. Open holds one immutable file
+// segment and stacks a memory segment over it at the first insert.
+// CreateOnline and OpenOnline add a write-ahead log, and background
+// compaction seals the memory segment into immutable pagefile segments.
+// Queries merge across the segments; a one-segment stack takes a fast path
+// identical to the single-tree code. See DESIGN.md §13.
 type Index struct {
 	stack *segment.Stack
 	opts  Options
 	// side is non-nil once AttachRefine has opened a full-feature sidecar;
 	// it serves the refine stage of Search.
 	side *pagefile.SideStore
-	// online is non-nil for WAL-backed online indexes (online.go); it owns
-	// the write-ahead log, the active memory segment and compaction.
-	online *onlineState
-}
-
-// primary returns the sole segment's tree — the shape every legacy
-// single-tree operation requires. A segmented (online) index with more
-// than one live segment or live tombstones reports ErrMultiSegment.
-func (ix *Index) primary() (*gist.Tree, error) {
-	if seg, ok := ix.stack.Only(); ok {
-		return seg.Tree(), nil
-	}
-	return nil, ErrMultiSegment
+	// wr is the write side (online.go): the active segment and, for a
+	// durable index, the write-ahead log and its maintenance.
+	wr *writer
 }
 
 // New returns an empty index that accepts Insert.
@@ -237,16 +236,21 @@ func New(opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	tree, err := gist.New(ext, gist.Config{Dim: opts.Dim, PageSize: opts.PageSize})
+	m, err := segment.NewMem(ext, opts.treeConfig(), 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{stack: singleStack(segment.WrapMem(tree, 0)), opts: opts}, nil
+	return memIndex(m, ext, opts), nil
 }
 
-// singleStack wraps one segment as a legacy index's stack.
-func singleStack(seg segment.Segment) *segment.Stack {
-	return segment.NewStack([]segment.Segment{seg}, nil)
+// memIndex makes one memory segment an index with no WAL, the segment
+// being the active one: writes apply to it in place.
+func memIndex(m *segment.Mem, ext gist.Extension, opts Options) *Index {
+	return &Index{
+		stack: segment.NewStack([]segment.Segment{m}, nil),
+		opts:  opts,
+		wr:    &writer{ext: ext, active: m},
+	}
 }
 
 // Build bulk-loads an index: the points are arranged into STR tile order
@@ -263,11 +267,6 @@ func Build(points []Point, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := gist.Config{Dim: opts.Dim, PageSize: opts.PageSize}
-	probe, err := gist.New(ext, cfg)
-	if err != nil {
-		return nil, err
-	}
 	pts := make([]gist.Point, len(points))
 	for i, p := range points {
 		if len(p.Key) != opts.Dim {
@@ -276,74 +275,132 @@ func Build(points []Point, opts Options) (*Index, error) {
 		}
 		pts[i] = gist.Point{Key: geom.Vector(p.Key).Clone(), RID: p.RID}
 	}
-	str.OrderParallel(pts, probe.LeafCapacity(), opts.Parallelism)
-	tree, err := gist.BulkLoadParallel(ext, cfg, pts, opts.FillFactor, opts.Parallelism)
+	tree, err := bulkLoad(ext, opts, pts)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{stack: singleStack(segment.WrapMem(tree, 0)), opts: opts}, nil
+	return memIndex(segment.WrapMem(tree, 0), ext, opts), nil
 }
 
-// Insert adds one point. Insertion maintains predicates conservatively; for
-// JB/XJB indexes call Tighten afterwards to restore bulk-load-quality
-// corner bites (the paper lists insertion support for JB/XJB as future
-// work, §8).
+// bulkLoad STR-orders pts and packs them bottom-up with the index's
+// options. Build and every compaction share it, so a compacted segment has
+// bulk-load-quality predicates.
+func bulkLoad(ext gist.Extension, opts Options, pts []gist.Point) (*gist.Tree, error) {
+	cfg := opts.treeConfig()
+	probe, err := gist.New(ext, cfg)
+	if err != nil {
+		return nil, err
+	}
+	str.OrderParallel(pts, probe.LeafCapacity(), opts.Parallelism)
+	return gist.BulkLoadParallel(ext, cfg, pts, opts.FillFactor, opts.Parallelism)
+}
+
+// Insert adds one point to the active memory segment. Insertion maintains
+// predicates conservatively; for JB/XJB indexes call Tighten afterwards to
+// restore bulk-load-quality corner bites (the paper lists insertion support
+// for JB/XJB as future work, §8).
 //
 // On an online index (CreateOnline/OpenOnline) the write is appended to the
 // write-ahead log and fsynced before it is applied — when Insert returns
-// nil the point survives a crash. Legacy indexes keep the in-place,
-// memory-only mutation semantics (call Save to persist).
+// nil the point survives a crash. Any other index holds its writes in
+// memory only (call Save to persist). Insert fails after Close.
 func (ix *Index) Insert(p Point) error {
 	if len(p.Key) != ix.opts.Dim {
 		return fmt.Errorf("%w: key dimension %d, index dimension %d",
 			ErrDimMismatch, len(p.Key), ix.opts.Dim)
 	}
-	if ix.online != nil {
-		return ix.onlineInsert(p)
+	w := ix.wr
+	if err := w.lock(); err != nil {
+		return err
 	}
-	t, err := ix.primary()
+	active, err := ix.activeLocked()
+	if err != nil {
+		w.wmu.Unlock()
+		return err
+	}
+	if w.log != nil {
+		if err := w.log.Append(wal.Record{Op: wal.OpInsert, RID: p.RID, Key: p.Key}); err != nil {
+			w.wmu.Unlock()
+			return err
+		}
+	}
+	err = active.Insert(gist.Point{Key: geom.Vector(p.Key).Clone(), RID: p.RID})
+	n := active.Len()
+	w.wmu.Unlock()
 	if err != nil {
 		return err
 	}
-	return t.Insert(gist.Point{Key: geom.Vector(p.Key).Clone(), RID: p.RID})
+	w.appends.Add(1)
+	if w.sealThreshold > 0 && n >= w.sealThreshold {
+		w.kickMaintenance(ix)
+	}
+	return nil
 }
 
 // Delete removes the (key, rid) pair, reporting whether it was present.
-//
-// On an online index the delete is WAL-logged like Insert; a delete hitting
-// a sealed (immutable) segment is recorded as a tombstone that masks the
-// pair out of merged query results until the next full compaction applies
-// it physically.
+// Presence decides the answer before anything is written. A pair in the
+// active memory segment is removed from it; a pair in a segment below —
+// sealed, or the file an index was opened from — is recorded as a
+// tombstone that masks it out of query results until a full compaction
+// applies it physically. On an online index the delete is WAL-logged like
+// Insert. Delete fails after Close.
 func (ix *Index) Delete(key []float64, rid int64) (bool, error) {
 	if len(key) != ix.opts.Dim {
 		return false, fmt.Errorf("%w: key dimension %d, index dimension %d",
 			ErrDimMismatch, len(key), ix.opts.Dim)
 	}
-	if ix.online != nil {
-		return ix.onlineDelete(key, rid)
+	w := ix.wr
+	if err := w.lock(); err != nil {
+		return false, err
 	}
-	t, err := ix.primary()
+	defer w.wmu.Unlock()
+	kv := geom.Vector(key)
+	inMem := false
+	if w.active != nil {
+		var err error
+		if inMem, err = w.active.Tree().Lookup(kv, rid); err != nil {
+			return false, err
+		}
+	}
+	below, err := ix.stack.Contains(kv, rid, w.activeGen)
 	if err != nil {
 		return false, err
 	}
-	return t.Delete(geom.Vector(key), rid)
+	if !inMem && !below {
+		return false, nil
+	}
+	if w.log != nil {
+		if err := w.log.Append(wal.Record{Op: wal.OpDelete, RID: rid, Key: key}); err != nil {
+			return false, err
+		}
+	}
+	if inMem {
+		if _, err := w.active.Delete(kv, rid); err != nil {
+			return false, err
+		}
+	}
+	if below {
+		ix.stack.AddTombstone(rid, w.activeGen)
+	}
+	w.appends.Add(1)
+	return true, nil
 }
 
-// Tighten recomputes every bounding predicate from the stored points,
-// restoring the predicate quality a fresh bulk load would produce. On an
-// online index only the active (mutable) segment is tightened — sealed
-// segments are bulk-loaded, which already yields tight predicates. The
-// error is always nil for in-memory indexes; a demand-paged index can fail
-// on an unreadable page.
+// Tighten recomputes the active memory segment's bounding predicates from
+// its stored points, restoring the predicate quality a fresh bulk load
+// would produce. Every other segment was bulk-loaded, which already yields
+// tight predicates, so Tighten is a no-op on an opened file that was never
+// written. Tighten fails after Close.
 func (ix *Index) Tighten() error {
-	if ix.online != nil {
-		return ix.online.active.Tree().TightenPredicates()
-	}
-	t, err := ix.primary()
-	if err != nil {
+	w := ix.wr
+	if err := w.lock(); err != nil {
 		return err
 	}
-	return t.TightenPredicates()
+	defer w.wmu.Unlock()
+	if w.active == nil {
+		return nil
+	}
+	return w.active.Tree().TightenPredicates()
 }
 
 // SearchKNN returns the exact k nearest neighbors of q, nearest first,
@@ -376,14 +433,12 @@ func (ix *Index) SearchRange(q []float64, radius float64) []Neighbor {
 // drained before the index is modified, and never shared between
 // goroutines. Results already returned stay valid.
 type NeighborIterator struct {
-	it *nn.Iterator
-	// Multi-segment scan (online indexes past their first seal): one
-	// incremental iterator per segment, merged by peeking the per-segment
-	// heads and popping the global (Dist2, RID) minimum, with tombstoned
-	// RIDs masked. it is nil in this mode.
+	// One incremental iterator per segment, merged by peeking the
+	// per-segment heads and popping the global (Dist2, RID) minimum, with
+	// tombstoned RIDs masked. A one-segment index merges one head.
 	heads []segIterHead
 	tombs map[int64]uint64
-	err   error // first error that stopped a head in multi-segment mode
+	err   error // first error that stopped a head
 }
 
 // segIterHead is one segment's incremental scan plus its buffered next
@@ -398,16 +453,13 @@ type segIterHead struct {
 // SearchIter starts an incremental nearest-neighbor scan from q. A query of
 // the wrong dimensionality (including a zero-length one, which previously
 // reached the tree) yields an exhausted iterator rather than a traversal
-// over mismatched geometry. On a multi-segment index the scan merges the
-// per-segment incremental scans in global distance order; the
-// concurrent-modification contract extends to background compaction, so an
-// online index's iterator must be drained before the next seal or compact.
+// over mismatched geometry. The scan merges the per-segment incremental
+// scans in global distance order; the concurrent-modification contract
+// extends to background compaction, so an online index's iterator must be
+// drained before the next seal or compact.
 func (ix *Index) SearchIter(q []float64) *NeighborIterator {
 	if len(q) != ix.opts.Dim {
 		return &NeighborIterator{}
-	}
-	if seg, ok := ix.stack.Only(); ok {
-		return &NeighborIterator{it: nn.NewIterator(context.TODO(), seg.Tree(), geom.Vector(q), nil)}
 	}
 	segs := ix.stack.Segments()
 	ni := &NeighborIterator{heads: make([]segIterHead, len(segs)), tombs: ix.stack.Tombstones()}
@@ -436,34 +488,12 @@ func (ni *NeighborIterator) advance(i int) {
 	}
 }
 
-// nextMerged returns the globally next-nearest result across all heads.
-func (ni *NeighborIterator) nextMerged() (nn.Result, bool) {
-	best := -1
-	for i := range ni.heads {
-		h := &ni.heads[i]
-		if !h.ok {
-			continue
-		}
-		if best < 0 {
-			best = i
-			continue
-		}
-		b := &ni.heads[best]
-		if h.cur.Dist2 < b.cur.Dist2 ||
-			(h.cur.Dist2 == b.cur.Dist2 && h.cur.RID < b.cur.RID) {
-			best = i
-		}
+// best returns the head holding the globally next-nearest result, or -1
+// when the scan is exhausted or has failed.
+func (ni *NeighborIterator) best() int {
+	if ni.err != nil {
+		return -1
 	}
-	if best < 0 {
-		return nn.Result{}, false
-	}
-	r := ni.heads[best].cur
-	ni.advance(best)
-	return r, true
-}
-
-// peekMerged returns the globally next-nearest result without consuming it.
-func (ni *NeighborIterator) peekMerged() (nn.Result, bool) {
 	best := -1
 	for i := range ni.heads {
 		h := &ni.heads[i]
@@ -475,10 +505,14 @@ func (ni *NeighborIterator) peekMerged() (nn.Result, bool) {
 			best = i
 		}
 	}
-	if best < 0 {
-		return nn.Result{}, false
-	}
-	return ni.heads[best].cur, true
+	return best
+}
+
+// pop consumes head i's result and returns it as a Neighbor.
+func (ni *NeighborIterator) pop(i int) Neighbor {
+	r := ni.heads[i].cur
+	ni.advance(i)
+	return Neighbor{RID: r.RID, Key: r.Key, Dist: math.Sqrt(r.Dist2), Dist2: r.Dist2}
 }
 
 // All returns a Go 1.23 range-over-func adapter streaming the remaining
@@ -509,102 +543,64 @@ func (ni *NeighborIterator) All() iter.Seq2[int, Neighbor] {
 // nil while it runs and after it ends by exhausting the index. On a
 // demand-paged index a page read can fail mid-scan (ErrStorageTransient,
 // ErrStorageCorrupt); Next and NextWithin then report ok == false, exactly
-// as at the end of the index, and only Err tells the two apart. On a
-// multi-segment index the first failing segment stops the whole merged
-// scan, since the global order can no longer be guaranteed.
-func (ni *NeighborIterator) Err() error {
-	if ni.it != nil {
-		return ni.it.Err()
-	}
-	return ni.err
-}
+// as at the end of the index, and only Err tells the two apart. The first
+// failing segment stops the whole merged scan, since the global order can
+// no longer be guaranteed.
+func (ni *NeighborIterator) Err() error { return ni.err }
 
 // Next returns the next-nearest neighbor, or ok == false when the index is
 // exhausted or the scan failed (see Err).
 func (ni *NeighborIterator) Next() (Neighbor, bool) {
-	var (
-		r  nn.Result
-		ok bool
-	)
-	switch {
-	case ni.it != nil:
-		r, ok = ni.it.Next()
-	case ni.heads != nil && ni.err == nil:
-		r, ok = ni.nextMerged()
-	}
-	if !ok {
+	i := ni.best()
+	if i < 0 {
 		return Neighbor{}, false
 	}
-	return Neighbor{RID: r.RID, Key: r.Key, Dist: math.Sqrt(r.Dist2), Dist2: r.Dist2}, true
+	return ni.pop(i), true
 }
 
 // NextWithin returns the next neighbor within the given Euclidean radius,
 // or ok == false once the remaining neighbors are all farther (the scan can
 // be resumed with a larger radius) or the scan failed (see Err).
 func (ni *NeighborIterator) NextWithin(radius float64) (Neighbor, bool) {
-	var (
-		r  nn.Result
-		ok bool
-	)
-	switch {
-	case ni.it != nil:
-		r, ok = ni.it.NextWithin(radius * radius)
-	case ni.heads != nil && ni.err == nil:
-		r, ok = ni.peekMerged()
-		if ok && r.Dist2 > radius*radius {
-			ok = false
-		} else if ok {
-			r, ok = ni.nextMerged()
-		}
-	}
-	if !ok {
+	i := ni.best()
+	if i < 0 || ni.heads[i].cur.Dist2 > radius*radius {
 		return Neighbor{}, false
 	}
-	return Neighbor{RID: r.RID, Key: r.Key, Dist: math.Sqrt(r.Dist2), Dist2: r.Dist2}, true
+	return ni.pop(i), true
 }
 
 // Save writes the index to a page-structured file: one fixed-size page per
 // tree node, predicates serialized in the float-word layout of the paper's
 // Table 3. Open reads it back.
 //
-// For a single-segment index this is byte-identical to the pre-segmented
-// Save. An online index is first compacted fully — seal the active segment,
-// merge every segment with tombstones applied, commit — so the saved file
-// is the same single tree a fresh bulk load of the live points would
-// produce; this is what makes the legacy "open, mutate, Save" flow and the
-// online flow equivalent at rest (DESIGN.md §13).
+// A stack of one segment and no tombstones saves that segment's tree, so a
+// never-written index saves the bytes it was built or opened from. Any
+// other stack saves one bulk load of its live points, tombstones applied —
+// the tree CompactAll would produce — and is left as it was: Save never
+// compacts. Save holds off writers and maintenance while it runs.
 func (ix *Index) Save(path string) error {
-	if ix.online != nil {
-		if err := ix.CompactAll(); err != nil {
-			return err
-		}
-		// The stack now holds the one merged pagefile segment plus a fresh,
-		// empty active memory segment; the merged tree is the artifact. A
-		// fully empty index has no file segment and saves its empty active.
-		for _, seg := range ix.stack.Segments() {
-			if fs, ok := seg.(*segment.File); ok {
-				return pagefile.Save(path, fs.Tree())
-			}
-		}
-		return pagefile.Save(path, ix.online.active.Tree())
+	w := ix.wr
+	w.mmu.Lock()
+	defer w.mmu.Unlock()
+	if err := w.lock(); err != nil {
+		return err
 	}
-	seg, ok := ix.stack.Only()
-	if !ok {
-		return ErrMultiSegment
+	defer w.wmu.Unlock()
+	if seg, ok := ix.stack.Only(); ok {
+		return pagefile.Save(path, seg.Tree())
 	}
-	return pagefile.Save(path, seg.Tree())
+	tree, _, err := ix.mergeLive()
+	if err != nil {
+		return err
+	}
+	return pagefile.Save(path, tree)
 }
 
 // OpenOptions configures Open.
 type OpenOptions struct {
-	// PoolPages is the buffer pool capacity in pages for a demand-paged
-	// open. 0 means DefaultPoolPages; with the default 8 KB pages that is an
-	// 8 MiB buffer. Ignored when Eager is set.
+	// PoolPages is the buffer pool capacity in pages. 0 means
+	// DefaultPoolPages; with the default 8 KB pages that is an 8 MiB buffer.
 	PoolPages int
-	// Eager reads the whole index into memory at open — the right choice
-	// when the index fits and every page will be hot. Queries then never
-	// touch the file again and BufferStats reports nothing.
-	Eager bool
 }
 
 // DefaultPoolPages is the buffer pool capacity Open uses when OpenOptions
@@ -617,72 +613,65 @@ const DefaultPoolPages = 1024
 // proportional to the pages it actually visits. The access method,
 // dimensionality, page size and XJB parameter are recovered from the file.
 // Call Close when done; BufferStats exposes the pool's hit/miss/eviction
-// counters. For the previous load-everything behavior use OpenWithOptions
-// with Eager set.
+// counters.
+//
+// The file is one immutable segment and is never written: the first
+// Insert stacks a memory segment over it, and a Delete of a point in the
+// file records a tombstone. Call Save to persist such writes.
 func Open(path string) (*Index, error) {
 	return OpenWithOptions(path, OpenOptions{})
 }
 
-// OpenWithOptions is Open with an explicit buffer budget or eager loading.
+// OpenWithOptions is Open with an explicit buffer budget.
 func OpenWithOptions(path string, oo OpenOptions) (*Index, error) {
-	var (
-		tree  *gist.Tree
-		store *pagefile.Store
-		err   error
-	)
-	if oo.Eager {
-		tree, err = pagefile.Load(path, am.Options{})
-	} else {
-		pool := oo.PoolPages
-		if pool <= 0 {
-			pool = DefaultPoolPages
-		}
-		tree, store, err = pagefile.OpenPaged(path, am.Options{}, pool)
-	}
+	fs, err := segment.OpenFile(path, am.Options{}, poolOrDefault(oo.PoolPages), 0)
 	if err != nil {
 		return nil, err
 	}
+	tree := fs.Tree()
 	opts := Options{
 		Method:   Method(tree.Ext().Name()),
 		Dim:      tree.Dim(),
 		PageSize: tree.PageSize(),
 	}
 	if err := opts.fillDefaults(); err != nil {
-		if store != nil {
-			store.Close()
-		}
+		fs.Close()
 		return nil, err
 	}
-	var seg segment.Segment
-	if store != nil {
-		seg = segment.WrapFile(tree, store, path, 0)
-	} else {
-		seg = segment.WrapMem(tree, 0)
-	}
-	return &Index{stack: singleStack(seg), opts: opts}, nil
+	return &Index{
+		stack: segment.NewStack([]segment.Segment{fs}, nil),
+		opts:  opts,
+		wr:    &writer{ext: tree.Ext(), activeGen: 1},
+	}, nil
 }
 
-// Close releases the file handles of a demand-paged index and its attached
-// refine store. In-memory indexes with no refine store have nothing to
-// release and Close is a no-op. Close is idempotent: closing an
-// already-closed index returns nil, so layered shutdown paths (a serving
-// daemon's signal handler plus its deferred cleanup) can both close safely.
-// Mutations made through a paged index live in memory only — call Save
+// Close releases the index's files — its segment pagefiles, its write-ahead
+// log and its attached refine store — and returns the first error. An
+// index with none has nothing to release. Close waits out running
+// maintenance, and every later write fails. Close is idempotent: closing
+// an already-closed index returns nil, so layered shutdown paths (a
+// serving daemon's signal handler plus its deferred cleanup) can both close
+// safely. Writes to an index with no WAL live in memory only — call Save
 // before Close to persist them.
 func (ix *Index) Close() error {
-	var sideErr error
+	w := ix.wr
+	w.mmu.Lock()
+	defer w.mmu.Unlock()
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	if w.closed {
+		return nil
+	}
+	w.closed = true
+	var logErr, sideErr error
+	if w.log != nil {
+		logErr = w.log.Close()
+	}
+	stackErr := ix.stack.Close()
 	if ix.side != nil {
 		sideErr = ix.side.Close()
 	}
-	if ix.online != nil {
-		if err := ix.online.close(); err != nil {
-			return err
-		}
-	}
-	if err := ix.stack.Close(); err != nil {
-		return err
-	}
-	return sideErr
+	return cmp.Or(logErr, stackErr, sideErr)
 }
 
 // BufferStats is a snapshot of a demand-paged index's buffer pool traffic
@@ -735,12 +724,13 @@ func (ix *Index) BufferStats() (s BufferStats, ok bool) {
 // projected onto dimensions dimX and dimY. This is the Figure-10 view of
 // the paper: the empty MBR corners that motivated the bite predicates are
 // directly visible. maxLeaves caps the drawing (0 = all).
+// It needs a one-segment index; see ErrMultiSegment.
 func (ix *Index) WriteSVG(w io.Writer, dimX, dimY, maxLeaves int) error {
-	t, err := ix.primary()
-	if err != nil {
-		return err
+	seg, ok := ix.stack.Only()
+	if !ok {
+		return ErrMultiSegment
 	}
-	return viz.WriteSVG(w, t, viz.Options{DimX: dimX, DimY: dimY, MaxLeaves: maxLeaves})
+	return viz.WriteSVG(w, seg.Tree(), viz.Options{DimX: dimX, DimY: dimY, MaxLeaves: maxLeaves})
 }
 
 // Options returns the index's effective options — the caller's Options with
@@ -828,12 +818,4 @@ func (ix *Index) Check() error {
 		}
 	}
 	return nil
-}
-
-func toNeighbors(res []nn.Result) []Neighbor {
-	out := make([]Neighbor, len(res))
-	for i, r := range res {
-		out[i] = Neighbor{RID: r.RID, Key: r.Key, Dist: math.Sqrt(r.Dist2), Dist2: r.Dist2}
-	}
-	return out
 }

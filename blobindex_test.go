@@ -409,6 +409,21 @@ func TestSearchIter(t *testing.T) {
 	if want := len(idx.SearchRange(q, 10)); inRange != want {
 		t.Errorf("NextWithin yielded %d, SearchRange %d", inRange, want)
 	}
+	// Widening the radius resumes the same scan without losing or
+	// repeating results.
+	for {
+		nb, ok := it2.NextWithin(20)
+		if !ok {
+			break
+		}
+		if nb.Dist <= 10 {
+			t.Errorf("resumed scan re-yielded rid %d at %v", nb.RID, nb.Dist)
+		}
+		inRange++
+	}
+	if want := len(idx.SearchRange(q, 20)); inRange != want {
+		t.Errorf("resumed NextWithin yielded %d in all, SearchRange %d", inRange, want)
+	}
 }
 
 func TestSampleKeys(t *testing.T) {
@@ -526,8 +541,8 @@ func TestOpenPagedColdVsWarm(t *testing.T) {
 	}
 }
 
-// A demand-paged index accepts the full mutation API; results after the
-// edits match an in-memory index given the same edits.
+// An opened index accepts the full mutation API; results after the edits
+// match an in-memory index given the same edits.
 func TestOpenPagedMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	pts := randPoints(rng, 1200, 2)
@@ -577,33 +592,5 @@ func TestOpenPagedMutation(t *testing.T) {
 		if a[i].RID != b[i].RID || a[i].Dist != b[i].Dist {
 			t.Fatalf("result %d differs after mutation", i)
 		}
-	}
-}
-
-// Eager open keeps the old materialize-everything behavior.
-func TestOpenEager(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	pts := randPoints(rng, 800, 2)
-	idx, err := Build(pts, Options{Method: JB, Dim: 2, PageSize: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/eager.idx"
-	if err := idx.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := OpenWithOptions(path, OpenOptions{Eager: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded.Close() // no-op for eager indexes
-	if _, ok := loaded.BufferStats(); ok {
-		t.Error("eager index reports buffer stats")
-	}
-	if loaded.Len() != idx.Len() {
-		t.Errorf("len %d, want %d", loaded.Len(), idx.Len())
-	}
-	if err := loaded.Check(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -20,10 +20,13 @@
 //	                                                storage error rate crosses -ready-error-rate)
 //	GET  /debug/vars                                expvar (includes "blobserved")
 //
-// With -online DIR the daemon serves a WAL-backed online index directory
-// instead of a saved file: acknowledged /v1/insert and /v1/delete calls are
-// fsynced to the write-ahead log before they are applied, WAL replay on
-// startup recovers every acknowledged write after a crash, and
+// With -index the saved file is never written: /v1/insert and /v1/delete
+// apply to a memory segment stacked over it (a delete of a point in the
+// file becomes a tombstone), and they are lost when the daemon exits.
+// /v1/compact answers 501. With -online DIR the daemon serves a WAL-backed
+// online index directory instead: acknowledged /v1/insert and /v1/delete
+// calls are fsynced to the write-ahead log before they are applied, WAL
+// replay on startup recovers every acknowledged write after a crash, and
 // -seal-threshold makes background maintenance seal and bulk-load-compact
 // the active memory segment as it fills (see DESIGN.md §13).
 //
@@ -99,7 +102,6 @@ func main() {
 		sealAt       = flag.Int("seal-threshold", 0, "with -online: seal+compact the active segment at this many points (0 = manual)")
 		addr         = flag.String("addr", ":8080", "listen address")
 		poolPages    = flag.Int("pool", blobindex.DefaultPoolPages, "buffer pool capacity in pages")
-		eager        = flag.Bool("eager", false, "load the whole index into memory at startup")
 		sidePath     = flag.String("side", "", "full-feature refine sidecar (enables refine:true on /v1/knn)")
 		sidePool     = flag.Int("side-pool", blobindex.DefaultPoolPages, "refine sidecar buffer pool capacity in pages")
 		maxInFlight  = flag.Int("max-inflight", 0, "max concurrently executing searches (0 = 2*GOMAXPROCS)")
@@ -144,16 +146,13 @@ func main() {
 			*onlineDir, idx.Stats().Method, idx.Options().Dim, idx.Len(),
 			len(idx.SegmentInfos()), ist.ReplayedRecords, ist.TornBytes, *sealAt)
 	case *indexPath != "":
-		idx, err = blobindex.OpenWithOptions(*indexPath, blobindex.OpenOptions{
-			PoolPages: *poolPages,
-			Eager:     *eager,
-		})
+		idx, err = blobindex.OpenWithOptions(*indexPath, blobindex.OpenOptions{PoolPages: *poolPages})
 		if err != nil {
 			fatalf(exitOpen, "open %s: %v", *indexPath, err)
 		}
 		st := idx.Stats()
-		log.Printf("serving %s: method=%s dim=%d points=%d pages=%d (pool %d pages, eager=%v)",
-			*indexPath, st.Method, idx.Options().Dim, st.Len, st.Pages, *poolPages, *eager)
+		log.Printf("serving %s: method=%s dim=%d points=%d pages=%d (pool %d pages)",
+			*indexPath, st.Method, idx.Options().Dim, st.Len, st.Pages, *poolPages)
 	default:
 		fatalf(exitUsage, "-index or -online is required (create one with: go run ./cmd/datagen -idx blobs.idx)")
 	}

@@ -38,15 +38,17 @@ var (
 	// full-feature side store attached (AttachRefine).
 	ErrNoRefineStore = errors.New("blobindex: no refine store attached")
 
-	// ErrMultiSegment reports a single-tree operation (Analyze, WriteSVG,
-	// a direct Save) against an index currently holding more than one live
-	// segment or live tombstones. Run CompactAll first to merge the index
-	// back to one segment.
+	// ErrMultiSegment reports a single-tree operation (Analyze, WriteSVG)
+	// against an index currently holding more than one live segment or
+	// live tombstones — an opened file after its first write, or an online
+	// index past its first seal. Save such an index and Open the file, or
+	// run CompactAll on an online index, to get back to one segment.
 	ErrMultiSegment = errors.New("blobindex: index holds multiple segments")
 
-	// ErrNotOnline reports an online-ingest operation (SealActive,
-	// CompactAll, IngestStats consumers) against a legacy index that was
-	// not opened with CreateOnline/OpenOnline.
+	// ErrNotOnline reports a maintenance operation (SealActive,
+	// CompactPending, CompactAll) against an index with no write-ahead
+	// log: one from New, Build or Open rather than CreateOnline or
+	// OpenOnline.
 	ErrNotOnline = errors.New("blobindex: index is not online")
 )
 

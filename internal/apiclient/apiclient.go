@@ -136,7 +136,7 @@ func (c *Client) Delete(ctx context.Context, req wire.WriteRequest) (*wire.Write
 }
 
 // Compact asks an online daemon to seal its active segment and compact
-// everything pending, now. Daemons serving a legacy (non-online) index
+// everything pending, now. Daemons serving an index with no WAL (-index)
 // answer 501.
 func (c *Client) Compact(ctx context.Context) (*wire.WriteResponse, error) {
 	var resp wire.WriteResponse

@@ -17,12 +17,12 @@ import (
 // Blobworld front end cheap, and what lets the same code serve demand-paged
 // on-disk indexes within a bounded buffer pool.
 //
-// An Iterator takes the tree's read lock for the duration of each
-// Next/NextWithin call, so concurrent iterators and searches coexist with
-// a single writer. The frontier it accumulates between calls is not
-// writer-proof, however: a mutation between calls can reorganize or free
-// pages the queue still references, so an Iterator must not be used across
-// modifications of the tree. An Iterator itself is single-goroutine state.
+// An Iterator takes the tree's read lock for the duration of each Next
+// call, so concurrent iterators and searches coexist with a single writer.
+// The frontier it accumulates between calls is not writer-proof, however:
+// a mutation between calls can reorganize or free pages the queue still
+// references, so an Iterator must not be used across modifications of the
+// tree. An Iterator itself is single-goroutine state.
 type Iterator struct {
 	tree  *gist.Tree
 	store gist.NodeStore
@@ -44,8 +44,8 @@ const prefetchWidth = 3
 
 // NewIterator starts an incremental nearest-neighbor scan from q. If trace
 // is non-nil every page read is recorded as the iteration proceeds. Once ctx
-// is done, Next and NextWithin return ok == false and Err reports the cause;
-// a nil ctx means no cancellation.
+// is done, Next returns ok == false and Err reports the cause; a nil ctx
+// means no cancellation.
 func NewIterator(ctx context.Context, t *gist.Tree, q geom.Vector, trace *gist.Trace) *Iterator {
 	it := &Iterator{tree: t, store: t.Store(), query: q, trace: trace, ctx: ctx}
 	it.pf, _ = it.store.(gist.Prefetcher)
@@ -144,31 +144,6 @@ func (it *Iterator) Next() (Result, bool) {
 			return Result{}, false
 		}
 		top := it.queue.popItem()
-		if !top.isNode {
-			return top.res, true
-		}
-		if !it.expand(top) {
-			return Result{}, false
-		}
-	}
-	return Result{}, false
-}
-
-// NextWithin returns the next neighbor only if it lies within squared
-// distance radius2; otherwise it reports ok == false without consuming it
-// (subsequent calls with a larger radius continue the scan).
-func (it *Iterator) NextWithin(radius2 float64) (Result, bool) {
-	it.tree.RLock()
-	defer it.tree.RUnlock()
-	for len(it.queue) > 0 {
-		if it.canceled() {
-			return Result{}, false
-		}
-		top := it.queue[0]
-		if top.dist2 > radius2 {
-			return Result{}, false
-		}
-		it.queue.popItem()
 		if !top.isNode {
 			return top.res, true
 		}

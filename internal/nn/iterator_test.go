@@ -87,42 +87,3 @@ func TestIteratorLazyIO(t *testing.T) {
 		t.Errorf("5-NN touched %d of %d pages", got, total)
 	}
 }
-
-func TestIteratorNextWithin(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	pts := randomPoints(rng, 1000, 2)
-	tree := buildTree(t, am.KindRTree, pts, 2)
-	q := geom.Vector{50, 50}
-
-	it := NewIterator(context.Background(), tree, q, nil)
-	var got []Result
-	for {
-		r, ok := it.NextWithin(25) // radius 5
-		if !ok {
-			break
-		}
-		got = append(got, r)
-	}
-	want, _ := tree.RangeSearch(q, 25, nil)
-	if len(got) != len(want) {
-		t.Fatalf("NextWithin found %d, range search %d", len(got), len(want))
-	}
-	// Widening the radius resumes the same scan without losing results.
-	var more []Result
-	for {
-		r, ok := it.NextWithin(100) // radius 10
-		if !ok {
-			break
-		}
-		more = append(more, r)
-	}
-	wider, _ := tree.RangeSearch(q, 100, nil)
-	if len(got)+len(more) != len(wider) {
-		t.Errorf("resumed scan found %d total, want %d", len(got)+len(more), len(wider))
-	}
-	for _, r := range more {
-		if r.Dist2 <= 25 {
-			t.Error("resumed scan re-yielded an inner result")
-		}
-	}
-}

@@ -73,8 +73,8 @@ type Segment interface {
 	Close() error
 }
 
-// Mem is a mutable memory segment: the active target of online writes, or
-// the single segment of a legacy in-memory index.
+// Mem is a mutable memory segment: the active target of an index's writes
+// until it is sealed.
 type Mem struct {
 	tree   *gist.Tree
 	gen    uint64
@@ -90,8 +90,8 @@ func NewMem(ext gist.Extension, cfg gist.Config, gen uint64) (*Mem, error) {
 	return &Mem{tree: tree, gen: gen}, nil
 }
 
-// WrapMem wraps an existing tree (a legacy Build/Load result) as a memory
-// segment.
+// WrapMem wraps an existing in-memory tree (a bulk load, or a
+// pagefile.Load result) as a memory segment.
 func WrapMem(tree *gist.Tree, gen uint64) *Mem { return &Mem{tree: tree, gen: gen} }
 
 // Tree returns the segment's tree.
@@ -165,8 +165,8 @@ func OpenFile(path string, opts am.Options, poolPages int, gen uint64) (*File, e
 	return &File{tree: tree, store: store, gen: gen, path: path, bytes: bytes}, nil
 }
 
-// WrapFile wraps an already-opened paged tree (a legacy Open result) as a
-// file segment.
+// WrapFile wraps a paged tree its caller opened with pagefile.OpenPaged as
+// a file segment; OpenFile is the one-call form.
 func WrapFile(tree *gist.Tree, store *pagefile.Store, path string, gen uint64) *File {
 	var bytes int64
 	if fi, err := os.Stat(path); err == nil {
@@ -391,8 +391,8 @@ func (s *Stack) Segments() []Segment {
 }
 
 // Only returns the stack's sole segment when it holds exactly one and no
-// tombstones — the shape every legacy single-tree code path (Save,
-// Analyze, WriteSVG) requires.
+// tombstones — the shape the single-tree operations (Analyze, WriteSVG, a
+// Save of the tree as it stands) require.
 func (s *Stack) Only() (Segment, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -1,14 +1,21 @@
 package blobindex
 
-// Online ingest: the durable write path. An online index lives in a
-// directory governed by a manifest (internal/pagefile's manifest v1):
-// immutable segment pagefiles, one or more write-ahead logs, and the RID
-// tombstones masking deletes against sealed segments. Every Insert/Delete
-// is appended (and fsynced) to the active WAL before it is applied to the
-// active memory segment, so a write that has been acknowledged survives
+// The write side every Index shares. An index is a stack of segments
+// (internal/segment) and writes apply to the active memory segment at its
+// top; a delete that misses that segment tombstones the segments below it.
+// New and Build start with one memory segment, which is the active one.
+// Open starts with one immutable file segment and stacks an empty memory
+// segment over it at the first insert, so the file is never modified.
+//
+// The shapes differ only in durability. A durable index (CreateOnline,
+// OpenOnline) lives in a directory governed by a manifest
+// (internal/pagefile's manifest v1): immutable segment pagefiles, one or
+// more write-ahead logs, and the RID tombstones masking deletes against
+// sealed segments. Every Insert/Delete is appended (and fsynced) to the active WAL
+// before it is applied, so a write that has been acknowledged survives
 // kill -9; background maintenance seals the memory segment past a size
-// threshold, bulk-loads it into an immutable pagefile segment with the
-// same parallel STR loader Build uses, and commits the swap by atomically
+// threshold, bulk-loads it into an immutable pagefile segment with the same
+// parallel STR loader Build uses, and commits the swap by atomically
 // rewriting the manifest. See DESIGN.md §13 for the full protocol and the
 // crash-window analysis.
 
@@ -26,9 +33,11 @@ import (
 	"blobindex/internal/gist"
 	"blobindex/internal/pagefile"
 	"blobindex/internal/segment"
-	"blobindex/internal/str"
 	"blobindex/internal/wal"
 )
+
+// errClosed reports a write or maintenance call after Close.
+var errClosed = errors.New("blobindex: index closed")
 
 // poolOrDefault resolves a buffer pool budget, 0 meaning DefaultPoolPages.
 func poolOrDefault(n int) int {
@@ -57,23 +66,25 @@ type frozenMem struct {
 	walGens []uint64
 }
 
-// onlineState is the write-side machinery of an online index.
-type onlineState struct {
+// writer is the write side of an Index. dir is empty and log nil for an
+// index with no WAL, which has no maintenance either.
+type writer struct {
+	ext           gist.Extension // builds every memory segment and bulk load
 	dir           string
 	poolPages     int
 	sealThreshold int
 
-	// wmu serializes writers (Insert/Delete) and the in-memory commit
-	// points of seal and compaction — the single-writer discipline of the
-	// facade, made explicit because maintenance is itself a writer.
+	// wmu serializes writers (Insert/Delete/Tighten) and the in-memory
+	// commit points of seal and compaction — the single-writer discipline
+	// of the facade, made explicit because maintenance is itself a writer.
 	wmu sync.Mutex
-	// mmu serializes maintenance sequences (seal, compact), which span
-	// long stretches outside wmu.
+	// mmu serializes maintenance sequences (seal, compact, Save), which
+	// span long stretches outside wmu.
 	mmu sync.Mutex
 
-	active        *segment.Mem
-	activeGen     uint64
-	activeWALGens []uint64 // gens whose data lives in the active mem (last = activeGen)
+	active        *segment.Mem // nil on an opened file until its first insert
+	activeGen     uint64       // active's generation, or the one the first insert gives it
+	activeWALGens []uint64     // gens whose data lives in the active mem (last = activeGen)
 	log           *wal.Log
 	frozen        []frozenMem // oldest first; compaction always takes the head
 	closed        bool
@@ -86,6 +97,45 @@ type onlineState struct {
 	appends         atomic.Int64
 	replayed        int64
 	tornBytes       int64
+}
+
+// lock takes wmu, failing once the index is closed.
+func (w *writer) lock() error {
+	w.wmu.Lock()
+	if w.closed {
+		w.wmu.Unlock()
+		return errClosed
+	}
+	return nil
+}
+
+// newMem creates an empty memory segment of generation gen.
+func (w *writer) newMem(opts Options, gen uint64) (*segment.Mem, error) {
+	return segment.NewMem(w.ext, opts.treeConfig(), gen)
+}
+
+// activeLocked returns the segment inserts apply to, stacking an empty
+// memory segment over an opened file at its first insert. Callers hold wmu.
+func (ix *Index) activeLocked() (*segment.Mem, error) {
+	w := ix.wr
+	if w.active == nil {
+		m, err := w.newMem(ix.opts, w.activeGen)
+		if err != nil {
+			return nil, err
+		}
+		ix.stack.Append(m)
+		w.active = m
+	}
+	return w.active, nil
+}
+
+// durable returns the writer of a WAL-backed index. Seal, compaction and
+// ingest stats exist only there; every other index reports ErrNotOnline.
+func (ix *Index) durable() (*writer, error) {
+	if ix.wr.dir == "" {
+		return nil, ErrNotOnline
+	}
+	return ix.wr, nil
 }
 
 // IngestStats is a snapshot of an online index's write path.
@@ -120,8 +170,8 @@ type SegmentInfo struct {
 	Mutable   bool
 }
 
-// SegmentInfos lists the live segments, oldest first. A legacy index
-// reports its single wrapped segment.
+// SegmentInfos lists the live segments, oldest first. A never-written
+// index from New, Build or Open reports its single segment.
 func (ix *Index) SegmentInfos() []SegmentInfo {
 	stats := ix.stack.SegmentStats()
 	out := make([]SegmentInfo, len(stats))
@@ -131,54 +181,52 @@ func (ix *Index) SegmentInfos() []SegmentInfo {
 	return out
 }
 
-// IngestStats returns the online write-path snapshot; ok is false for
-// legacy (non-online) indexes.
+// IngestStats returns the online write-path snapshot; ok is false for an
+// index with no WAL.
 func (ix *Index) IngestStats() (IngestStats, bool) {
-	o := ix.online
-	if o == nil {
+	w, err := ix.durable()
+	if err != nil {
 		return IngestStats{}, false
 	}
-	o.wmu.Lock()
+	w.wmu.Lock()
 	s := IngestStats{
-		Dir:             o.dir,
-		ActiveGen:       o.activeGen,
-		ActiveLen:       o.active.Len(),
-		WALDepth:        o.log.Depth(),
-		WALBytes:        o.log.SizeBytes(),
-		PendingSegments: len(o.frozen),
-		ReplayedRecords: o.replayed,
-		TornBytes:       o.tornBytes,
+		Dir:             w.dir,
+		ActiveGen:       w.activeGen,
+		ActiveLen:       w.active.Len(),
+		WALDepth:        w.log.Depth(),
+		WALBytes:        w.log.SizeBytes(),
+		PendingSegments: len(w.frozen),
+		ReplayedRecords: w.replayed,
+		TornBytes:       w.tornBytes,
 	}
-	o.wmu.Unlock()
+	w.wmu.Unlock()
 	for _, seg := range ix.stack.Segments() {
 		if _, isFile := seg.(*segment.File); isFile {
 			s.FileSegments++
 		}
 	}
 	s.Tombstones = ix.stack.NumTombstones()
-	s.Seals = o.seals.Load()
-	s.Compactions = o.compactions.Load()
-	s.FullCompactions = o.fullCompactions.Load()
-	s.Appends = o.appends.Load()
+	s.Seals = w.seals.Load()
+	s.Compactions = w.compactions.Load()
+	s.FullCompactions = w.fullCompactions.Load()
+	s.Appends = w.appends.Load()
 	return s, true
 }
 
 // SetReorgHook registers fn to run after every segment reorganization —
 // seal, background compaction, full compaction. Serving layers use it to
 // advance their cache generation, exactly as they do after a write. A nil
-// fn clears the hook. No-op on legacy indexes.
+// fn clears the hook. Only a durable index reorganizes, so on any other
+// the hook never runs.
 func (ix *Index) SetReorgHook(fn func()) {
-	if ix.online == nil {
-		return
-	}
 	if fn == nil {
 		fn = func() {}
 	}
-	ix.online.reorgHook.Store(fn)
+	ix.wr.reorgHook.Store(fn)
 }
 
-func (o *onlineState) notifyReorg() {
-	if fn, ok := o.reorgHook.Load().(func()); ok {
+func (w *writer) notifyReorg() {
+	if fn, ok := w.reorgHook.Load().(func()); ok {
 		fn()
 	}
 }
@@ -198,26 +246,23 @@ func CreateOnline(dir string, opts Options, oo OnlineOptions) (*Index, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	active, err := segment.NewMem(ext, gist.Config{Dim: opts.Dim, PageSize: opts.PageSize}, 1)
-	if err != nil {
-		return nil, err
-	}
-	log, err := wal.Create(filepath.Join(dir, wal.FileName(1)), opts.Dim, 1)
-	if err != nil {
-		return nil, err
-	}
-	o := &onlineState{
+	w := &writer{
+		ext:           ext,
 		dir:           dir,
 		poolPages:     poolOrDefault(oo.PoolPages),
 		sealThreshold: oo.SealThreshold,
-		active:        active,
 		activeGen:     1,
 		activeWALGens: []uint64{1},
-		log:           log,
 	}
-	ix := &Index{stack: singleStack(active), opts: opts, online: o}
-	if err := o.commitManifest(ix, nil, []uint64{1}); err != nil {
-		log.Close()
+	if w.active, err = w.newMem(opts, 1); err != nil {
+		return nil, err
+	}
+	if w.log, err = wal.Create(filepath.Join(dir, wal.FileName(1)), opts.Dim, 1); err != nil {
+		return nil, err
+	}
+	ix := &Index{stack: segment.NewStack([]segment.Segment{w.active}, nil), opts: opts, wr: w}
+	if err := w.commitManifest(ix, nil, []uint64{1}); err != nil {
+		w.log.Close()
 		return nil, err
 	}
 	return ix, nil
@@ -248,7 +293,15 @@ func OpenOnline(dir string, oo OnlineOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := poolOrDefault(oo.PoolPages)
+	activeGen := m.WALGens[len(m.WALGens)-1]
+	w := &writer{
+		ext:           ext,
+		dir:           dir,
+		poolPages:     poolOrDefault(oo.PoolPages),
+		sealThreshold: oo.SealThreshold,
+		activeGen:     activeGen,
+		activeWALGens: slices.Clone(m.WALGens),
+	}
 
 	janitor(dir, m)
 
@@ -261,43 +314,31 @@ func OpenOnline(dir string, oo OnlineOptions) (*Index, error) {
 	for _, gen := range m.SegmentGens {
 		// The pagefile header carries the access-method parameters, exactly
 		// as in OpenWithOptions; am.Options{} defers to it.
-		fs, err := segment.OpenFile(filepath.Join(dir, pagefile.SegmentFileName(gen)), am.Options{}, pool, gen)
+		fs, err := segment.OpenFile(filepath.Join(dir, pagefile.SegmentFileName(gen)), am.Options{}, w.poolPages, gen)
 		if err != nil {
 			closeAll()
 			return nil, fmt.Errorf("blobindex: open segment gen %d: %w", gen, err)
 		}
 		segs = append(segs, fs)
 	}
-
-	activeGen := m.WALGens[len(m.WALGens)-1]
-	active, err := segment.NewMem(ext, gist.Config{Dim: opts.Dim, PageSize: opts.PageSize}, activeGen)
-	if err != nil {
+	if w.active, err = w.newMem(opts, activeGen); err != nil {
 		closeAll()
 		return nil, err
 	}
-	segs = append(segs, active)
+	segs = append(segs, w.active)
 
 	tombs := make(map[int64]uint64, len(m.Tombstones))
 	for _, t := range m.Tombstones {
 		tombs[t.RID] = t.Watermark
 	}
-
-	o := &onlineState{
-		dir:           dir,
-		poolPages:     pool,
-		sealThreshold: oo.SealThreshold,
-		active:        active,
-		activeGen:     activeGen,
-		activeWALGens: slices.Clone(m.WALGens),
-	}
-	ix := &Index{stack: segment.NewStack(segs, tombs), opts: opts, online: o}
+	ix := &Index{stack: segment.NewStack(segs, tombs), opts: opts, wr: w}
 
 	// Replay oldest-first: every log's records apply in append order, so
 	// the memory segment converges to exactly the acknowledged state. Only
 	// the youngest log stays open — it is the active log.
 	for i, gen := range m.WALGens {
 		log, n, torn, err := wal.Open(filepath.Join(dir, wal.FileName(gen)), func(rec wal.Record) error {
-			return o.applyReplayed(ix, rec)
+			return w.applyReplayed(ix, rec)
 		})
 		if err != nil {
 			closeAll()
@@ -309,10 +350,10 @@ func OpenOnline(dir string, oo OnlineOptions) (*Index, error) {
 			return nil, fmt.Errorf("blobindex: wal gen %d has dimension %d, index has %d",
 				gen, log.Dim(), opts.Dim)
 		}
-		o.replayed += n
-		o.tornBytes += torn
+		w.replayed += n
+		w.tornBytes += torn
 		if i == len(m.WALGens)-1 {
-			o.log = log
+			w.log = log
 		} else {
 			log.Close()
 		}
@@ -321,25 +362,25 @@ func OpenOnline(dir string, oo OnlineOptions) (*Index, error) {
 }
 
 // applyReplayed applies one replayed WAL record: the recovery-time image of
-// onlineInsert/onlineDelete minus the logging. Deletes re-derive their
-// placement — a point replayed into the memory segment is deleted there, a
-// point in a sealed file segment gets its tombstone back.
-func (o *onlineState) applyReplayed(ix *Index, rec wal.Record) error {
+// Insert/Delete minus the logging. Deletes re-derive their placement — a
+// point replayed into the memory segment is deleted there, a point in a
+// sealed file segment gets its tombstone back.
+func (w *writer) applyReplayed(ix *Index, rec wal.Record) error {
 	key := geom.Vector(rec.Key)
 	switch rec.Op {
 	case wal.OpInsert:
-		return o.active.Insert(gist.Point{Key: key, RID: rec.RID})
+		return w.active.Insert(gist.Point{Key: key, RID: rec.RID})
 	case wal.OpDelete:
-		if ok, err := o.active.Tree().Lookup(key, rec.RID); err != nil {
+		if ok, err := w.active.Tree().Lookup(key, rec.RID); err != nil {
 			return err
 		} else if ok {
-			_, err := o.active.Delete(key, rec.RID)
+			_, err := w.active.Delete(key, rec.RID)
 			return err
 		}
-		if ok, err := ix.stack.Contains(key, rec.RID, o.activeGen); err != nil {
+		if ok, err := ix.stack.Contains(key, rec.RID, w.activeGen); err != nil {
 			return err
 		} else if ok {
-			ix.stack.AddTombstone(rec.RID, o.activeGen)
+			ix.stack.AddTombstone(rec.RID, w.activeGen)
 		}
 		return nil
 	}
@@ -374,80 +415,16 @@ func janitor(dir string, m *pagefile.Manifest) {
 	}
 }
 
-// onlineInsert is the durable insert: WAL append + fsync first, then the
-// in-memory apply. When it returns nil the point survives a crash.
-func (ix *Index) onlineInsert(p Point) error {
-	o := ix.online
-	o.wmu.Lock()
-	if o.closed {
-		o.wmu.Unlock()
-		return errors.New("blobindex: index closed")
-	}
-	if err := o.log.Append(wal.Record{Op: wal.OpInsert, RID: p.RID, Key: p.Key}); err != nil {
-		o.wmu.Unlock()
-		return err
-	}
-	err := o.active.Insert(gist.Point{Key: geom.Vector(p.Key).Clone(), RID: p.RID})
-	n := o.active.Len()
-	o.wmu.Unlock()
-	if err != nil {
-		return err
-	}
-	o.appends.Add(1)
-	if o.sealThreshold > 0 && n >= o.sealThreshold {
-		o.kickMaintenance(ix)
-	}
-	return nil
-}
-
-// onlineDelete is the durable delete. Presence decides acknowledgement
-// before anything is logged; a present pair is then WAL-logged and either
-// removed from the active memory segment or tombstoned against the sealed
-// segment holding it.
-func (ix *Index) onlineDelete(key []float64, rid int64) (bool, error) {
-	o := ix.online
-	o.wmu.Lock()
-	defer o.wmu.Unlock()
-	if o.closed {
-		return false, errors.New("blobindex: index closed")
-	}
-	kv := geom.Vector(key)
-	inMem, err := o.active.Tree().Lookup(kv, rid)
-	if err != nil {
-		return false, err
-	}
-	inSealed, err := ix.stack.Contains(kv, rid, o.activeGen)
-	if err != nil {
-		return false, err
-	}
-	if !inMem && !inSealed {
-		return false, nil
-	}
-	if err := o.log.Append(wal.Record{Op: wal.OpDelete, RID: rid, Key: key}); err != nil {
-		return false, err
-	}
-	if inMem {
-		if _, err := o.active.Delete(kv, rid); err != nil {
-			return false, err
-		}
-	}
-	if inSealed {
-		ix.stack.AddTombstone(rid, o.activeGen)
-	}
-	o.appends.Add(1)
-	return true, nil
-}
-
 // kickMaintenance starts a background seal+compact cycle unless one is
 // already running.
-func (o *onlineState) kickMaintenance(ix *Index) {
-	if !o.mmu.TryLock() {
+func (w *writer) kickMaintenance(ix *Index) {
+	if !w.mmu.TryLock() {
 		return
 	}
 	go func() {
-		defer o.mmu.Unlock()
-		if o.sealLocked(ix) == nil {
-			o.compactPendingLocked(ix)
+		defer w.mmu.Unlock()
+		if w.sealLocked(ix) == nil {
+			w.compactPendingLocked(ix)
 		}
 	}()
 }
@@ -455,39 +432,33 @@ func (o *onlineState) kickMaintenance(ix *Index) {
 // SealActive freezes the active memory segment and starts a fresh WAL and
 // memory segment: the frozen segment becomes immutable, keeps serving
 // reads, and waits for CompactPending to bulk-load it into a pagefile.
-// ErrNotOnline on legacy indexes.
+// ErrNotOnline on an index with no WAL.
 func (ix *Index) SealActive() error {
-	o := ix.online
-	if o == nil {
-		return ErrNotOnline
+	w, err := ix.durable()
+	if err != nil {
+		return err
 	}
-	o.mmu.Lock()
-	defer o.mmu.Unlock()
-	return o.sealLocked(ix)
+	w.mmu.Lock()
+	defer w.mmu.Unlock()
+	return w.sealLocked(ix)
 }
 
 // sealLocked is SealActive with mmu held. Protocol: create the next WAL,
 // commit a manifest listing both logs (so a crash at any point replays
 // every acknowledged write), then swap the memory segments under wmu.
-func (o *onlineState) sealLocked(ix *Index) error {
-	o.wmu.Lock()
-	if o.closed {
-		o.wmu.Unlock()
-		return errors.New("blobindex: index closed")
+func (w *writer) sealLocked(ix *Index) error {
+	if err := w.lock(); err != nil {
+		return err
 	}
-	oldGen := o.activeGen
+	oldGen := w.activeGen
 	newGen := oldGen + 1
-	o.wmu.Unlock()
+	w.wmu.Unlock()
 
-	ext, err := ix.opts.extension()
+	newMem, err := w.newMem(ix.opts, newGen)
 	if err != nil {
 		return err
 	}
-	newMem, err := segment.NewMem(ext, gist.Config{Dim: ix.opts.Dim, PageSize: ix.opts.PageSize}, newGen)
-	if err != nil {
-		return err
-	}
-	newLog, err := wal.Create(filepath.Join(o.dir, wal.FileName(newGen)), ix.opts.Dim, newGen)
+	newLog, err := wal.Create(filepath.Join(w.dir, wal.FileName(newGen)), ix.opts.Dim, newGen)
 	if err != nil {
 		return err
 	}
@@ -495,62 +466,62 @@ func (o *onlineState) sealLocked(ix *Index) error {
 	// segment's replay source) and the new, empty active log. Writers keep
 	// appending to the old log until the swap below, which is fine — that
 	// log is listed.
-	walGens := o.liveWALGens()
+	walGens := w.liveWALGens()
 	walGens = append(walGens, newGen)
-	if err := o.commitManifest(ix, nil, walGens); err != nil {
+	if err := w.commitManifest(ix, nil, walGens); err != nil {
 		newLog.Close()
 		os.Remove(newLog.Path())
 		return err
 	}
 
-	o.wmu.Lock()
-	oldMem, oldLog := o.active, o.log
+	w.wmu.Lock()
+	oldMem, oldLog := w.active, w.log
 	oldMem.Seal()
-	o.frozen = append(o.frozen, frozenMem{seg: oldMem, walGens: o.activeWALGens})
-	o.active = newMem
-	o.activeGen = newGen
-	o.activeWALGens = []uint64{newGen}
-	o.log = newLog
+	w.frozen = append(w.frozen, frozenMem{seg: oldMem, walGens: w.activeWALGens})
+	w.active = newMem
+	w.activeGen = newGen
+	w.activeWALGens = []uint64{newGen}
+	w.log = newLog
 	ix.stack.Append(newMem)
-	o.wmu.Unlock()
+	w.wmu.Unlock()
 
 	oldLog.Close()
-	o.seals.Add(1)
-	o.notifyReorg()
+	w.seals.Add(1)
+	w.notifyReorg()
 	return nil
 }
 
 // CompactPending bulk-loads every sealed memory segment into an immutable
 // pagefile segment, oldest first, committing each swap through the
-// manifest and deleting the logs it retires. ErrNotOnline on legacy
-// indexes.
+// manifest and deleting the logs it retires. ErrNotOnline on an index with
+// no WAL.
 func (ix *Index) CompactPending() error {
-	o := ix.online
-	if o == nil {
-		return ErrNotOnline
+	w, err := ix.durable()
+	if err != nil {
+		return err
 	}
-	o.mmu.Lock()
-	defer o.mmu.Unlock()
-	return o.compactPendingLocked(ix)
+	w.mmu.Lock()
+	defer w.mmu.Unlock()
+	return w.compactPendingLocked(ix)
 }
 
-func (o *onlineState) compactPendingLocked(ix *Index) error {
+func (w *writer) compactPendingLocked(ix *Index) error {
 	for {
-		o.wmu.Lock()
-		if len(o.frozen) == 0 || o.closed {
-			o.wmu.Unlock()
+		w.wmu.Lock()
+		if len(w.frozen) == 0 || w.closed {
+			w.wmu.Unlock()
 			return nil
 		}
-		fz := o.frozen[0]
-		o.wmu.Unlock()
-		if err := o.compactOne(ix, fz); err != nil {
+		fz := w.frozen[0]
+		w.wmu.Unlock()
+		if err := w.compactOne(ix, fz); err != nil {
 			return err
 		}
-		o.wmu.Lock()
-		o.frozen = o.frozen[1:]
-		o.wmu.Unlock()
-		o.compactions.Add(1)
-		o.notifyReorg()
+		w.wmu.Lock()
+		w.frozen = w.frozen[1:]
+		w.wmu.Unlock()
+		w.compactions.Add(1)
+		w.notifyReorg()
 	}
 }
 
@@ -560,7 +531,7 @@ func (o *onlineState) compactPendingLocked(ix *Index) error {
 // retirement is strictly oldest-first (the compacted segment is always the
 // oldest frozen one), which is what keeps "replay the listed logs in
 // order" equivalent to the acknowledged write sequence after any crash.
-func (o *onlineState) compactOne(ix *Index, fz frozenMem) error {
+func (w *writer) compactOne(ix *Index, fz frozenMem) error {
 	gen := fz.seg.Gen()
 	pts, err := segment.CollectPoints(fz.seg, nil, nil)
 	if err != nil {
@@ -569,15 +540,11 @@ func (o *onlineState) compactOne(ix *Index, fz frozenMem) error {
 
 	var fileSeg segment.Segment
 	if len(pts) > 0 {
-		tree, err := o.bulkLoad(ix, pts)
+		tree, err := bulkLoad(w.ext, ix.opts, pts)
 		if err != nil {
 			return err
 		}
-		path := filepath.Join(o.dir, pagefile.SegmentFileName(gen))
-		if err := pagefile.Save(path, tree); err != nil {
-			return err
-		}
-		fs, err := segment.OpenFile(path, am.Options{}, o.poolPages, gen)
+		fs, err := w.writeSegment(tree, gen)
 		if err != nil {
 			return err
 		}
@@ -587,13 +554,13 @@ func (o *onlineState) compactOne(ix *Index, fz frozenMem) error {
 	// Commit: the manifest gains the new segment and drops the retired
 	// logs. Before this write a crash replays the old logs (same data);
 	// after it the janitor removes them.
-	segGens := o.fileSegGens(ix)
+	segGens := w.fileSegGens(ix)
 	if fileSeg != nil {
 		segGens = append(segGens, gen)
 		slices.Sort(segGens)
 	}
-	walGens := o.liveWALGensExcept(fz.walGens)
-	if err := o.commitManifest(ix, segGens, walGens); err != nil {
+	walGens := w.liveWALGensExcept(fz.walGens)
+	if err := w.commitManifest(ix, segGens, walGens); err != nil {
 		if fileSeg != nil {
 			fileSeg.Close()
 		}
@@ -602,7 +569,7 @@ func (o *onlineState) compactOne(ix *Index, fz frozenMem) error {
 
 	ix.stack.Replace([]segment.Segment{fz.seg}, fileSeg, false)
 	for _, g := range fz.walGens {
-		os.Remove(filepath.Join(o.dir, wal.FileName(g)))
+		os.Remove(filepath.Join(w.dir, wal.FileName(g)))
 	}
 	return nil
 }
@@ -611,48 +578,30 @@ func (o *onlineState) compactOne(ix *Index, fz frozenMem) error {
 // segments and the active segment — into one freshly bulk-loaded pagefile
 // segment, applying and clearing all delete tombstones, then starts a new
 // empty WAL and active segment. Writers are blocked for the duration;
-// readers are not. ErrNotOnline on legacy indexes.
+// readers are not. ErrNotOnline on an index with no WAL.
 func (ix *Index) CompactAll() error {
-	o := ix.online
-	if o == nil {
-		return ErrNotOnline
+	w, err := ix.durable()
+	if err != nil {
+		return err
 	}
-	o.mmu.Lock()
-	defer o.mmu.Unlock()
-	o.wmu.Lock()
-	defer o.wmu.Unlock()
-	if o.closed {
-		return errors.New("blobindex: index closed")
+	w.mmu.Lock()
+	defer w.mmu.Unlock()
+	if err := w.lock(); err != nil {
+		return err
 	}
+	defer w.wmu.Unlock()
 
-	mergedGen := o.activeGen
+	mergedGen := w.activeGen
 	newGen := mergedGen + 1
 
-	// Harvest every live point, tombstone masks applied — the full
-	// compaction is the moment deletes become physical.
-	tombs := ix.stack.Tombstones()
-	var pts []gist.Point
-	oldSegs := ix.stack.Segments()
-	for _, seg := range oldSegs {
-		var err error
-		pts, err = segment.CollectPoints(seg, tombs, pts)
-		if err != nil {
-			return err
-		}
+	tree, oldSegs, err := ix.mergeLive()
+	if err != nil {
+		return err
 	}
-
 	var fileSeg segment.Segment
 	var segGens []uint64
-	if len(pts) > 0 {
-		tree, err := o.bulkLoad(ix, pts)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(o.dir, pagefile.SegmentFileName(mergedGen))
-		if err := pagefile.Save(path, tree); err != nil {
-			return err
-		}
-		fs, err := segment.OpenFile(path, am.Options{}, o.poolPages, mergedGen)
+	if tree.Len() > 0 {
+		fs, err := w.writeSegment(tree, mergedGen)
 		if err != nil {
 			return err
 		}
@@ -660,21 +609,17 @@ func (ix *Index) CompactAll() error {
 		segGens = []uint64{mergedGen}
 	}
 
-	ext, err := ix.opts.extension()
+	newMem, err := w.newMem(ix.opts, newGen)
 	if err != nil {
 		return err
 	}
-	newMem, err := segment.NewMem(ext, gist.Config{Dim: ix.opts.Dim, PageSize: ix.opts.PageSize}, newGen)
-	if err != nil {
-		return err
-	}
-	newLog, err := wal.Create(filepath.Join(o.dir, wal.FileName(newGen)), ix.opts.Dim, newGen)
+	newLog, err := wal.Create(filepath.Join(w.dir, wal.FileName(newGen)), ix.opts.Dim, newGen)
 	if err != nil {
 		return err
 	}
 
 	// Commit point: one segment (or none), one empty log, no tombstones.
-	if err := o.commitManifestTombs(ix, segGens, []uint64{newGen}, nil); err != nil {
+	if err := w.commitManifestTombs(ix, segGens, []uint64{newGen}, nil); err != nil {
 		newLog.Close()
 		os.Remove(newLog.Path())
 		if fileSeg != nil {
@@ -683,22 +628,22 @@ func (ix *Index) CompactAll() error {
 		return err
 	}
 
-	retiredWALs := o.liveWALGens()
+	retiredWALs := w.liveWALGens()
 	ix.stack.Replace(oldSegs, fileSeg, true)
 	ix.stack.Append(newMem)
-	oldLog := o.log
-	o.active = newMem
-	o.activeGen = newGen
-	o.activeWALGens = []uint64{newGen}
-	o.log = newLog
-	o.frozen = nil
+	oldLog := w.log
+	w.active = newMem
+	w.activeGen = newGen
+	w.activeWALGens = []uint64{newGen}
+	w.log = newLog
+	w.frozen = nil
 
 	oldLog.Close()
 	for _, seg := range oldSegs {
 		seg.Close()
 	}
 	for _, g := range retiredWALs {
-		os.Remove(filepath.Join(o.dir, wal.FileName(g)))
+		os.Remove(filepath.Join(w.dir, wal.FileName(g)))
 	}
 	for _, seg := range oldSegs {
 		if fs, ok := seg.(*segment.File); ok && fs.Gen() != mergedGen {
@@ -706,42 +651,54 @@ func (ix *Index) CompactAll() error {
 		}
 	}
 
-	o.fullCompactions.Add(1)
-	o.notifyReorg()
+	w.fullCompactions.Add(1)
+	w.notifyReorg()
 	return nil
 }
 
-// bulkLoad STR-orders and bulk-loads pts with the index's options — the
-// same distribution-adaptive loader Build uses, so a compacted segment has
-// bulk-load-quality predicates.
-func (o *onlineState) bulkLoad(ix *Index, pts []gist.Point) (*gist.Tree, error) {
-	ext, err := ix.opts.extension()
-	if err != nil {
+// mergeLive harvests every live point of the stack, tombstone masks
+// applied, and bulk-loads them into one tree: the merge of a full
+// compaction, the moment deletes become physical, which Save also uses for
+// a stack of several segments. It returns the segments the tree replaces.
+// Callers hold mmu and wmu.
+func (ix *Index) mergeLive() (*gist.Tree, []segment.Segment, error) {
+	tombs := ix.stack.Tombstones()
+	segs := ix.stack.Segments()
+	var pts []gist.Point
+	for _, seg := range segs {
+		var err error
+		if pts, err = segment.CollectPoints(seg, tombs, pts); err != nil {
+			return nil, nil, err
+		}
+	}
+	tree, err := bulkLoad(ix.wr.ext, ix.opts, pts)
+	return tree, segs, err
+}
+
+// writeSegment saves tree as the directory's segment pagefile of
+// generation gen and opens it demand-paged.
+func (w *writer) writeSegment(tree *gist.Tree, gen uint64) (*segment.File, error) {
+	path := filepath.Join(w.dir, pagefile.SegmentFileName(gen))
+	if err := pagefile.Save(path, tree); err != nil {
 		return nil, err
 	}
-	cfg := gist.Config{Dim: ix.opts.Dim, PageSize: ix.opts.PageSize}
-	probe, err := gist.New(ext, cfg)
-	if err != nil {
-		return nil, err
-	}
-	str.OrderParallel(pts, probe.LeafCapacity(), ix.opts.Parallelism)
-	return gist.BulkLoadParallel(ext, cfg, pts, ix.opts.FillFactor, ix.opts.Parallelism)
+	return segment.OpenFile(path, am.Options{}, w.poolPages, gen)
 }
 
 // liveWALGens returns every live WAL generation oldest-first: the frozen
 // segments' logs followed by the active segment's. Callers hold mmu, which
 // every mutator of frozen/activeWALGens also holds, so no wmu is needed
 // (CompactAll calls this with wmu already held).
-func (o *onlineState) liveWALGens() []uint64 {
+func (w *writer) liveWALGens() []uint64 {
 	var gens []uint64
-	for _, fz := range o.frozen {
+	for _, fz := range w.frozen {
 		gens = append(gens, fz.walGens...)
 	}
-	return append(gens, o.activeWALGens...)
+	return append(gens, w.activeWALGens...)
 }
 
-func (o *onlineState) liveWALGensExcept(drop []uint64) []uint64 {
-	gens := o.liveWALGens()
+func (w *writer) liveWALGensExcept(drop []uint64) []uint64 {
+	gens := w.liveWALGens()
 	out := gens[:0]
 	for _, g := range gens {
 		if !slices.Contains(drop, g) {
@@ -752,7 +709,7 @@ func (o *onlineState) liveWALGensExcept(drop []uint64) []uint64 {
 }
 
 // fileSegGens lists the stack's pagefile segment generations, ascending.
-func (o *onlineState) fileSegGens(ix *Index) []uint64 {
+func (w *writer) fileSegGens(ix *Index) []uint64 {
 	var gens []uint64
 	for _, seg := range ix.stack.Segments() {
 		if fs, ok := seg.(*segment.File); ok {
@@ -766,14 +723,14 @@ func (o *onlineState) fileSegGens(ix *Index) []uint64 {
 // commitManifest atomically commits the directory state: segGens (nil
 // means "derive from the stack"), the given WAL generations, and the
 // stack's current tombstones.
-func (o *onlineState) commitManifest(ix *Index, segGens []uint64, walGens []uint64) error {
+func (w *writer) commitManifest(ix *Index, segGens []uint64, walGens []uint64) error {
 	if segGens == nil {
-		segGens = o.fileSegGens(ix)
+		segGens = w.fileSegGens(ix)
 	}
 	tombs := ix.stack.Tombstones()
 	list := make([]pagefile.Tombstone, 0, len(tombs))
-	for rid, w := range tombs {
-		list = append(list, pagefile.Tombstone{RID: rid, Watermark: w})
+	for rid, wm := range tombs {
+		list = append(list, pagefile.Tombstone{RID: rid, Watermark: wm})
 	}
 	slices.SortFunc(list, func(a, b pagefile.Tombstone) int {
 		switch {
@@ -784,11 +741,11 @@ func (o *onlineState) commitManifest(ix *Index, segGens []uint64, walGens []uint
 		}
 		return 0
 	})
-	return o.commitManifestTombs(ix, segGens, walGens, list)
+	return w.commitManifestTombs(ix, segGens, walGens, list)
 }
 
-func (o *onlineState) commitManifestTombs(ix *Index, segGens, walGens []uint64, tombs []pagefile.Tombstone) error {
-	return pagefile.WriteManifest(o.dir, &pagefile.Manifest{
+func (w *writer) commitManifestTombs(ix *Index, segGens, walGens []uint64, tombs []pagefile.Tombstone) error {
+	return pagefile.WriteManifest(w.dir, &pagefile.Manifest{
 		Method:      string(ix.opts.Method),
 		Dim:         ix.opts.Dim,
 		PageSize:    ix.opts.PageSize,
@@ -797,18 +754,4 @@ func (o *onlineState) commitManifestTombs(ix *Index, segGens, walGens []uint64, 
 		WALGens:     walGens,
 		Tombstones:  tombs,
 	})
-}
-
-// close shuts the write path down: waits out running maintenance, then
-// closes the active log. Segment closing is the stack's job.
-func (o *onlineState) close() error {
-	o.mmu.Lock()
-	defer o.mmu.Unlock()
-	o.wmu.Lock()
-	defer o.wmu.Unlock()
-	if o.closed {
-		return nil
-	}
-	o.closed = true
-	return o.log.Close()
 }

@@ -506,10 +506,9 @@ func TestOnlineConcurrentIngest(t *testing.T) {
 	}
 }
 
-// TestOnlineSaveEquivalence pins the legacy-flow equivalence: Save on an
-// online index (an implicit full compaction) writes a pagefile a legacy
-// Open serves with answers identical to a fresh Build over the live points
-// — "open, mutate, Save" and the online flow meet at the same artifact.
+// TestOnlineSaveEquivalence pins Save on a multi-segment online index: it
+// writes the bulk load of the live points, tombstones applied, and Open
+// serves that file with answers identical to a fresh Build over them.
 func TestOnlineSaveEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	ix, err := CreateOnline(dir, onlineTestOptions(), OnlineOptions{})
@@ -545,6 +544,10 @@ func TestOnlineSaveEquivalence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "saved.idx")
 	if err := ix.Save(path); err != nil {
 		t.Fatal(err)
+	}
+	// Save leaves the directory as it was: nothing compacted.
+	if st, _ := ix.IngestStats(); st.FullCompactions != 0 || st.PendingSegments != 1 || st.Tombstones != 30 {
+		t.Fatalf("Save reorganized the index: %+v", st)
 	}
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
@@ -722,4 +725,35 @@ func TestSearchIterReportsCorruptPage(t *testing.T) {
 		open := func() (*Index, error) { return OpenOnline(dir, OnlineOptions{}) }
 		check(t, open, func() { flip(segs[0]) }, total)
 	})
+}
+
+// TestOnlineTightenDuringSeal interleaves Insert and Tighten on an online
+// index whose background maintenance seals every 16 points. Tighten must
+// reach the active segment under the writer lock: a seal swaps that segment
+// out, and under -race an unlocked read of it is reported.
+func TestOnlineTightenDuringSeal(t *testing.T) {
+	ix, err := CreateOnline(t.TempDir(), onlineTestOptions(), OnlineOptions{SealThreshold: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	rng := rand.New(rand.NewSource(5))
+	const n = 2000
+	for rid := int64(0); rid < n; rid++ {
+		if err := ix.Insert(Point{Key: randKey(rng, 3), RID: rid}); err != nil {
+			t.Fatalf("insert %d: %v", rid, err)
+		}
+		if err := ix.Tighten(); err != nil {
+			t.Fatalf("tighten after %d: %v", rid, err)
+		}
+	}
+	if err := ix.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.Len(); got != n {
+		t.Fatalf("Len %d, want %d", got, n)
+	}
+	if err := ix.Check(); err != nil {
+		t.Fatal(err)
+	}
 }

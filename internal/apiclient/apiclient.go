@@ -230,9 +230,16 @@ func (c *Client) probe(ctx context.Context, path string) error {
 	return nil
 }
 
-// call issues one request with the retry policy: attempts are bounded by
-// MaxRetries, only retryable failures (transport errors, 429/503) repeat,
-// and the wait honors the server's Retry-After up to MaxRetryWait.
+// Post posts the pre-encoded JSON body to path and returns the 200
+// answer's body, read into buf[:0] (grown as needed; buf may be nil), under
+// the same retry policy and status-error mapping as every other call. It
+// lets a caller encode one request for many daemons and handle the answer's
+// bytes itself.
+func (c *Client) Post(ctx context.Context, path string, body, buf []byte) ([]byte, error) {
+	return c.do(ctx, http.MethodPost, path, body, buf)
+}
+
+// call marshals in, issues the request, and decodes the 200 body into out.
 func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
 	var body []byte
 	if in != nil {
@@ -241,15 +248,25 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any) err
 			return err
 		}
 	}
-	var lastErr error
+	raw, err := c.do(ctx, method, path, body, nil)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(raw, out)
+}
+
+// do issues one request with the retry policy: attempts are bounded by
+// MaxRetries, only retryable failures (transport errors, 429/503) repeat,
+// and the wait honors the server's Retry-After up to MaxRetryWait.
+func (c *Client) do(ctx context.Context, method, path string, body, buf []byte) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
-		lastErr = c.attempt(ctx, method, path, body, out)
-		if lastErr == nil || attempt >= c.opts.MaxRetries || !retryable(lastErr) {
-			return lastErr
+		raw, err := c.attempt(ctx, method, path, body, buf)
+		if err == nil || attempt >= c.opts.MaxRetries || !retryable(err) {
+			return raw, err
 		}
 		wait := c.opts.RetryWait << attempt
 		var se *StatusError
-		if errors.As(lastErr, &se) && se.RetryAfter > 0 {
+		if errors.As(err, &se) && se.RetryAfter > 0 {
 			wait = se.RetryAfter
 		}
 		if wait > c.opts.MaxRetryWait {
@@ -259,13 +276,13 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any) err
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return ctx.Err()
+			return nil, ctx.Err()
 		case <-t.C:
 		}
 	}
 }
 
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out any) error {
+func (c *Client) attempt(ctx context.Context, method, path string, body, buf []byte) ([]byte, error) {
 	if c.opts.RequestTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.opts.RequestTimeout)
@@ -277,24 +294,44 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.opts.HTTPClient.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return statusError(resp)
+		return nil, statusError(resp)
 	}
-	if out == nil {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		return nil
+	return readBody(resp, buf)
+}
+
+// maxSized bounds the buffer readBody sizes up front from a Content-Length;
+// a longer body grows only as its bytes actually arrive.
+const maxSized = 64 << 20
+
+// readBody reads resp's body into buf[:0]: in one exact read when the
+// daemon sent a Content-Length, as they all do, else to EOF.
+func readBody(resp *http.Response, buf []byte) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxSized {
+		if int64(cap(buf)) < n {
+			buf = make([]byte, n)
+		}
+		buf = buf[:n]
+		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+			return nil, fmt.Errorf("read body: %w", err)
+		}
+		return buf, nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	b := bytes.NewBuffer(buf[:0])
+	if _, err := b.ReadFrom(resp.Body); err != nil {
+		return nil, fmt.Errorf("read body: %w", err)
+	}
+	return b.Bytes(), nil
 }
 
 func retryable(err error) bool {

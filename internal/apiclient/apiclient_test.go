@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -179,5 +181,45 @@ func TestReadyReportsDegraded(t *testing.T) {
 	}
 	if se.RetryAfter != time.Second {
 		t.Fatalf("want Retry-After 1s, got %v", se.RetryAfter)
+	}
+}
+
+// TestPostReturnsRawBody: Post sends the given bytes untouched and returns
+// the answer's bytes in the caller's buffer — sized from Content-Length, or
+// read to EOF from a chunked answer — and maps a non-200 as every call does.
+func TestPostReturnsRawBody(t *testing.T) {
+	const answer = `{"neighbors":[],"cached":false,"coalesced":false}` + "\n"
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got, _ := io.ReadAll(r.Body)
+		switch r.URL.Path {
+		case "/sized":
+			w.Header().Set("Content-Length", strconv.Itoa(len(answer)))
+			io.WriteString(w, answer)
+		case "/chunked":
+			io.WriteString(w, answer[:10])
+			w.(http.Flusher).Flush()
+			io.WriteString(w, answer[10:])
+		default:
+			w.WriteHeader(http.StatusBadRequest)
+			json.NewEncoder(w).Encode(map[string]string{"error": "bad body " + string(got)})
+		}
+	}))
+	defer ts.Close()
+
+	c := New(ts.URL, Options{})
+	buf := make([]byte, 0, 1024)
+	for _, path := range []string{"/sized", "/chunked"} {
+		got, err := c.Post(context.Background(), path, []byte(`{"k":1}`), buf)
+		if err != nil || string(got) != answer {
+			t.Fatalf("%s: %q, %v", path, got, err)
+		}
+		if &got[0] != &buf[:1][0] {
+			t.Errorf("%s: the answer did not reuse the caller's buffer", path)
+		}
+	}
+	_, err := c.Post(context.Background(), "/other", []byte(`{"k":1}`), nil)
+	se, ok := err.(*StatusError)
+	if !ok || se.Code != http.StatusBadRequest || se.Body != `bad body {"k":1}` {
+		t.Fatalf("want StatusError 400 echoing the body, got %v", err)
 	}
 }

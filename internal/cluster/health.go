@@ -10,6 +10,7 @@ import (
 
 	"blobindex/internal/apiclient"
 	"blobindex/internal/server"
+	"blobindex/internal/wire"
 )
 
 // MemberState is a shard member's last known health.
@@ -24,9 +25,9 @@ const (
 	// StateDegraded: the process is up but not answering usefully — /readyz
 	// reports 503 (PR 5's degraded signal, its windowed storage error rate
 	// over threshold), or the member accepts TCP but stalls past the probe
-	// deadline (a SIGSTOP'd or wedged process: half-dead, not gone). The
-	// router routes around degraded members while any healthy member of
-	// the shard remains.
+	// deadline (a SIGSTOP'd or wedged process: half-dead, not gone), or
+	// answers a search 200 with a malformed body. The router routes around
+	// degraded members while any healthy member of the shard remains.
 	StateDegraded
 	// StateDown: the member is unreachable — connections are refused or
 	// reset, the process itself is gone.
@@ -75,18 +76,19 @@ func (m *member) noteSuccess() {
 
 // noteFailure records a query-path failure. Refused/reset transport errors
 // mark the member down immediately so the next query orders it last; a
-// timeout on a member that accepted the connection marks it degraded — the
-// process is alive but stalled, and must sort behind healthy and unprobed
-// replicas without being written off as gone; an explicit daemon error
-// keeps the probed state (one 503 under load does not mean the process is
-// gone).
+// timeout on a member that accepted the connection, or a 200 whose body is
+// not a well-formed search response, marks it degraded — the process is
+// alive but not answering usefully, and must sort behind healthy and
+// unprobed replicas without being written off as gone; an explicit daemon
+// error keeps the probed state (one 503 under load does not mean the
+// process is gone).
 func (m *member) noteFailure(err error) {
 	m.consecFails.Add(1)
 	m.lastErr.Store(err.Error())
 	var se *apiclient.StatusError
 	switch {
 	case errors.As(err, &se):
-	case isTimeout(err):
+	case isTimeout(err), errors.Is(err, wire.ErrMalformed):
 		m.setState(StateDegraded)
 	default:
 		m.setState(StateDown)
@@ -107,15 +109,19 @@ func isTimeout(err error) bool {
 
 // healthTracker polls every member's /readyz on an interval and keeps the
 // per-member states the router's ordering and readiness decisions read.
+// Cancelling ctx stops it, and every probe runs under ctx, so closing never
+// waits out a stalled member's probe deadline.
 type healthTracker struct {
 	shards   [][]*member
 	interval time.Duration
-	stop     chan struct{}
+	ctx      context.Context
+	cancel   context.CancelFunc
 	done     sync.WaitGroup
 }
 
 func newHealthTracker(shards [][]*member, interval time.Duration) *healthTracker {
-	return &healthTracker{shards: shards, interval: interval, stop: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	return &healthTracker{shards: shards, interval: interval, ctx: ctx, cancel: cancel}
 }
 
 func (t *healthTracker) start() {
@@ -127,7 +133,7 @@ func (t *healthTracker) start() {
 		defer tick.Stop()
 		for {
 			select {
-			case <-t.stop:
+			case <-t.ctx.Done():
 				return
 			case <-tick.C:
 				t.pollAll()
@@ -137,7 +143,7 @@ func (t *healthTracker) start() {
 }
 
 func (t *healthTracker) close() {
-	close(t.stop)
+	t.cancel()
 	t.done.Wait()
 }
 
@@ -156,10 +162,12 @@ func (t *healthTracker) pollAll() {
 }
 
 func (t *healthTracker) poll(m *member) {
-	ctx, cancel := context.WithTimeout(context.Background(), t.interval)
+	ctx, cancel := context.WithTimeout(t.ctx, t.interval)
 	defer cancel()
 	err := m.cli.Ready(ctx)
 	switch {
+	case t.ctx.Err() != nil:
+		// Closing: an interrupted probe is no verdict on the member.
 	case err == nil:
 		was := m.getState()
 		m.consecFails.Store(0)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -11,23 +12,30 @@ import (
 	"time"
 
 	"blobindex/internal/apiclient"
+	"blobindex/internal/wire"
 )
 
 // stalledListener accepts TCP connections and then sits on them forever —
 // the half-dead member: a SIGSTOP'd or wedged daemon whose kernel still
-// completes the handshake while the process answers nothing.
-func stalledListener(t *testing.T) string {
+// completes the handshake while the process answers nothing. accepted
+// receives after a connection is accepted.
+func stalledListener(t *testing.T) (addr string, accepted <-chan struct{}) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
+	ch := make(chan struct{}, 1)
 	go func() {
 		for {
 			c, err := ln.Accept()
 			if err != nil {
 				return
+			}
+			select {
+			case ch <- struct{}{}:
+			default:
 			}
 			go func() {
 				defer c.Close()
@@ -35,7 +43,7 @@ func stalledListener(t *testing.T) string {
 			}()
 		}
 	}()
-	return "http://" + ln.Addr().String()
+	return "http://" + ln.Addr().String(), ch
 }
 
 // fakeReadyServer answers /readyz and /v1/stats like a healthy daemon.
@@ -59,7 +67,7 @@ func fakeReadyServer(t *testing.T) string {
 // down, and certainly not unknown — and sort behind its healthy replica in
 // routing order.
 func TestHealthStalledMemberDegraded(t *testing.T) {
-	stalled := stalledListener(t)
+	stalled, _ := stalledListener(t)
 	healthy := fakeReadyServer(t)
 	man := &Manifest{
 		Partition: PartitionHash,
@@ -103,6 +111,29 @@ func TestHealthStalledMemberDegraded(t *testing.T) {
 	}
 }
 
+// TestRouterCloseInterruptsProbes: Close returns promptly while a health
+// probe is stuck on a member that never answers, rather than waiting out
+// the probe's deadline (here the 10 s health interval).
+func TestRouterCloseInterruptsProbes(t *testing.T) {
+	stalled, accepted := stalledListener(t)
+	r, err := NewRouter(Config{
+		Manifest:       &Manifest{Partition: PartitionHash, Method: "xjb", Dim: 5, Shards: []Shard{{Members: []string{stalled}}}},
+		HealthInterval: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-accepted // the first probe is in flight
+	start := time.Now()
+	r.Close()
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("Close took %v with a probe in flight", d)
+	}
+	if m := r.shards[0][0]; m.consecFails.Load() != 0 || m.getState() != StateUnknown {
+		t.Fatalf("the interrupted probe was recorded against the member: %d fails, %v", m.consecFails.Load(), m.getState())
+	}
+}
+
 // TestMemberOrderRanksEveryStatePair pins the routing preference for a
 // primary and its replica in every pair of states: the replica leads only
 // when it ranks strictly better, and unprobed ranks with healthy — so a
@@ -141,6 +172,7 @@ func TestNoteFailureClassification(t *testing.T) {
 		{"net timeout degrades", &net.OpError{Op: "read", Err: timeoutErr{}}, StateHealthy, StateDegraded},
 		{"refused goes down", errors.New("dial tcp: connection refused"), StateHealthy, StateDown},
 		{"status error keeps state", &apiclient.StatusError{Code: 503}, StateHealthy, StateHealthy},
+		{"malformed body degrades", fmt.Errorf("%w: tail at byte 9", wire.ErrMalformed), StateHealthy, StateDegraded},
 	}
 	for _, c := range cases {
 		m := &member{addr: "x"}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -205,23 +206,45 @@ func shardErrStatus(err error) int {
 
 // --- scatter-gather ---
 
-// shardCall is one search against one member.
-type shardCall func(ctx context.Context, m *member) (*wire.SearchResponse, error)
+// shardAnswer is one shard's search answer, scanned but not decoded: the
+// body and the spans of its neighbours. Answers are pooled; a 200-NN body
+// is ~14 KB.
+type shardAnswer struct {
+	body []byte
+	scan wire.Scan
+}
 
-// attempt runs one member attempt, feeding the member's latency histogram
-// and passive health signals.
-func (r *Router) attempt(ctx context.Context, m *member, call shardCall) (*wire.SearchResponse, error) {
+var answerPool = sync.Pool{New: func() any { return new(shardAnswer) }}
+
+// mergePool holds the merged neighbours arrays the search handlers write.
+var mergePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// attempt posts the query's encoded body to one member and scans the
+// answer, feeding the member's latency histogram and passive health
+// signals. A 200 whose body fails the scan is a failed attempt like any
+// other.
+func (r *Router) attempt(ctx context.Context, m *member, path string, body []byte) (*shardAnswer, error) {
 	r.shardRequests.Add(1)
+	a := answerPool.Get().(*shardAnswer)
 	start := time.Now()
-	resp, err := call(ctx, m)
-	m.lat.Observe(time.Since(start), err != nil)
+	var err error
+	if a.body, err = m.cli.Post(ctx, path, body, a.body); err == nil {
+		a.scan, err = wire.ScanSearchResponse(a.body, a.scan.Neighbors)
+	}
 	if err != nil {
-		m.noteFailure(err)
+		answerPool.Put(a)
+		// An abandoned query — the client left, or a sibling shard already
+		// failed it — is no verdict on the member.
+		if ctx.Err() == nil {
+			m.lat.Observe(time.Since(start), true)
+			m.noteFailure(err)
+		}
 		return nil, err
 	}
+	m.lat.Observe(time.Since(start), false)
 	m.noteSuccess()
 	m.served.Add(1)
-	return resp, nil
+	return a, nil
 }
 
 // memberOrder returns a shard's members in routing preference: healthy or
@@ -252,16 +275,16 @@ func (r *Router) memberOrder(si int) []*member {
 // health order with a per-attempt timeout, failing over to the next member
 // on error (bounded by Retries) and optionally hedging — launching the
 // next member early when the current attempt is slow. First success wins.
-func (r *Router) callShard(ctx context.Context, si int, call shardCall) (*wire.SearchResponse, error) {
+func (r *Router) callShard(ctx context.Context, si int, path string, body []byte) (*shardAnswer, error) {
 	order := r.memberOrder(si)
 	maxAttempts := 1 + r.cfg.Retries
 	if maxAttempts > len(order) {
 		maxAttempts = len(order)
 	}
 	type outcome struct {
-		m    *member
-		resp *wire.SearchResponse
-		err  error
+		m   *member
+		a   *shardAnswer
+		err error
 	}
 	ch := make(chan outcome, maxAttempts)
 	launched := 0
@@ -269,8 +292,8 @@ func (r *Router) callShard(ctx context.Context, si int, call shardCall) (*wire.S
 		m := order[launched]
 		launched++
 		go func() {
-			resp, err := r.attempt(ctx, m, call)
-			ch <- outcome{m, resp, err}
+			a, err := r.attempt(ctx, m, path, body)
+			ch <- outcome{m, a, err}
 		}()
 	}
 	launch()
@@ -290,7 +313,7 @@ func (r *Router) callShard(ctx context.Context, si int, call shardCall) (*wire.S
 				if !o.m.primary {
 					r.failovers.Add(1)
 				}
-				return o.resp, nil
+				return o.a, nil
 			}
 			lastErr = o.err
 			if launched < maxAttempts {
@@ -312,34 +335,78 @@ func (r *Router) callShard(ctx context.Context, si int, call shardCall) (*wire.S
 	return nil, lastErr
 }
 
-// scatter fans call out to every shard with bounded concurrency and
-// returns every shard's response, or the first shard failure: a k-NN
-// answer missing a partition is not an answer, so one dead partition fails
-// the query (503 + Retry-After at the handler).
-func (r *Router) scatter(ctx context.Context, call shardCall) ([]*wire.SearchResponse, error) {
+// scatter posts the encoded query body to path on every shard with
+// bounded concurrency and returns every shard's answer, or the first shard
+// failure in time: a k-NN answer missing a partition is not an answer, so
+// one dead partition fails the query (503 + Retry-After at the handler).
+// The first failure cancels the other shards' calls, so a stalled sibling
+// cannot hold a definitive answer back until its timeout, and their
+// cancellations cannot mask it.
+func (r *Router) scatter(ctx context.Context, path string, body []byte) ([]*shardAnswer, error) {
 	r.queries.Add(1)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	n := len(r.shards)
-	resps := make([]*wire.SearchResponse, n)
-	errs := make([]error, n)
+	answers := make([]*shardAnswer, n)
+	var (
+		once   sync.Once
+		failed error
+	)
 	sem := make(chan struct{}, r.cfg.MaxFanout)
 	var wg sync.WaitGroup
 	for si := 0; si < n; si++ {
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			resps[si], errs[si] = r.callShard(ctx, si, call)
+			var err error
+			select {
+			case sem <- struct{}{}:
+				answers[si], err = r.callShard(ctx, si, path, body)
+				<-sem
+			case <-ctx.Done():
+				err = ctx.Err()
+			}
+			if err != nil {
+				once.Do(func() {
+					failed = fmt.Errorf("shard %d: %w", si, err)
+					cancel()
+				})
+			}
 		}(si)
 	}
 	wg.Wait()
-	for si, err := range errs {
-		if err != nil {
-			r.partitionFailures.Add(1)
-			return nil, fmt.Errorf("shard %d: %w", si, err)
+	if failed != nil {
+		r.partitionFailures.Add(1)
+		release(answers)
+		return nil, failed
+	}
+	return answers, nil
+}
+
+// release returns answers to their pool.
+func release(answers []*shardAnswer) {
+	for _, a := range answers {
+		if a != nil {
+			answerPool.Put(a)
 		}
 	}
-	return resps, nil
+}
+
+// writeMerged answers 200 with the merge of answers: their first k
+// neighbours (k <= 0: all) by (Dist2, RID), each copied verbatim from its
+// shard's body, and tail's other fields. It releases answers.
+func writeMerged(w http.ResponseWriter, answers []*shardAnswer, k int, tail *wire.SearchResponse) int {
+	bodies := make([][]byte, len(answers))
+	lists := make([][]wire.Span, len(answers))
+	for i, a := range answers {
+		bodies[i], lists[i] = a.body, a.scan.Neighbors
+	}
+	buf := mergePool.Get().(*[]byte)
+	*buf = mergeSpans((*buf)[:0], bodies, lists, k)
+	status := wire.WriteSearch(w, *buf, tail)
+	mergePool.Put(buf)
+	release(answers)
+	return status
 }
 
 // --- endpoints ---
@@ -359,25 +426,19 @@ func (r *Router) handleKNN(w http.ResponseWriter, req *http.Request) int {
 	if kreq.K <= 0 || kreq.K > r.cfg.MaxK {
 		return wire.WriteError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", r.cfg.MaxK, kreq.K)
 	}
-	resps, err := r.scatter(req.Context(), func(ctx context.Context, m *member) (*wire.SearchResponse, error) {
-		return m.cli.KNN(ctx, kreq)
-	})
+	body, err := json.Marshal(kreq)
+	if err != nil {
+		return wire.WriteError(w, http.StatusInternalServerError, "encode shard request: %v", err)
+	}
+	answers, err := r.scatter(req.Context(), "/v1/knn", body)
 	if err != nil {
 		return wire.WriteError(w, shardErrStatus(err), "knn scatter: %v", err)
 	}
-	lists := make([][]wire.Neighbor, len(resps))
 	multiplier := 0
-	for i, resp := range resps {
-		lists[i] = resp.Neighbors
-		if resp.Multiplier > multiplier {
-			multiplier = resp.Multiplier
-		}
+	for _, a := range answers {
+		multiplier = max(multiplier, a.scan.Multiplier)
 	}
-	return wire.WriteJSON(w, http.StatusOK, &wire.SearchResponse{
-		Neighbors:  Merge(lists, kreq.K),
-		Refined:    kreq.Refine,
-		Multiplier: multiplier,
-	})
+	return writeMerged(w, answers, kreq.K, &wire.SearchResponse{Refined: kreq.Refine, Multiplier: multiplier})
 }
 
 func (r *Router) handleRange(w http.ResponseWriter, req *http.Request) int {
@@ -394,17 +455,15 @@ func (r *Router) handleRange(w http.ResponseWriter, req *http.Request) int {
 	if rreq.Radius == 0 {
 		return wire.WriteJSON(w, http.StatusOK, &wire.SearchResponse{})
 	}
-	resps, err := r.scatter(req.Context(), func(ctx context.Context, m *member) (*wire.SearchResponse, error) {
-		return m.cli.Range(ctx, rreq)
-	})
+	body, err := json.Marshal(rreq)
+	if err != nil {
+		return wire.WriteError(w, http.StatusInternalServerError, "encode shard request: %v", err)
+	}
+	answers, err := r.scatter(req.Context(), "/v1/range", body)
 	if err != nil {
 		return wire.WriteError(w, shardErrStatus(err), "range scatter: %v", err)
 	}
-	lists := make([][]wire.Neighbor, len(resps))
-	for i, resp := range resps {
-		lists[i] = resp.Neighbors
-	}
-	return wire.WriteJSON(w, http.StatusOK, &wire.SearchResponse{Neighbors: Merge(lists, 0)})
+	return writeMerged(w, answers, 0, &wire.SearchResponse{})
 }
 
 // handleWrite routes a write to the owning shard's primary. Replicas serve

@@ -77,7 +77,7 @@ func BulkLoadParallel(ext Extension, cfg Config, pts []Point, fill float64, work
 		if hi > len(pts) {
 			hi = len(pts)
 		}
-		level = append(level, span{t.store.Alloc(0), lo, hi})
+		level = append(level, span{t.mem.alloc(0), lo, hi})
 	}
 	parallelFor(len(level), workers, func(i int) {
 		leaf, lo, hi := level[i].node, level[i].lo, level[i].hi
@@ -110,7 +110,7 @@ func BulkLoadParallel(ext Extension, cfg Config, pts []Point, fill float64, work
 			if hi > len(level) {
 				hi = len(level)
 			}
-			parent := t.store.Alloc(level[lo].node.level + 1)
+			parent := t.mem.alloc(level[lo].node.level + 1)
 			for ci, child := range level[lo:hi] {
 				parent.preds = append(parent.preds, preds[lo+ci])
 				parent.children = append(parent.children, child.node.id)
@@ -124,7 +124,7 @@ func BulkLoadParallel(ext Extension, cfg Config, pts []Point, fill float64, work
 	// Re-root onto the packed tree and retire the placeholder empty root
 	// that New allocated as page 0 (its id is never reused, so the page-id
 	// sequence of the packed nodes is unaffected).
-	t.store.Free(t.rootID)
+	t.mem.free(t.rootID)
 	t.rootID = level[0].node.id
 	t.height = height
 	t.size = len(pts)

@@ -12,11 +12,14 @@ import "blobindex/internal/geom"
 // framework completeness and dynamic-workload experiments rather than the
 // paper's core evaluation.
 //
-// The search for the doomed leaf explores subtrees read-only (pin, inspect,
-// unpin); only once a node is known to lie on the deletion path is it
-// marked dirty, which per the NodeStore contract keeps its pointer resident
-// for the condense phase. Dissolved subtrees are freed page by page.
+// A tree from NewFromStore is read-only: Delete returns ErrReadOnly without
+// touching it. Otherwise the tree is held in a MemStore, where every node is
+// the resident copy, so the pointers on the deletion path stay valid for the
+// condense phase. Dissolved subtrees are freed page by page.
 func (t *Tree) Delete(key geom.Vector, rid int64) (bool, error) {
+	if t.mem == nil {
+		return false, ErrReadOnly
+	}
 	if len(key) != t.dim {
 		return false, fmt.Errorf("gist: key dimension %d, tree dimension %d", len(key), t.dim)
 	}
@@ -42,43 +45,27 @@ func (t *Tree) Delete(key geom.Vector, rid int64) (bool, error) {
 			if !t.ext.Covers(pred, key) {
 				continue
 			}
-			child, err := t.store.Pin(n.children[i])
+			child, err := t.mem.Pin(n.children[i])
 			if err != nil {
 				return nil, err
 			}
 			path = append(path, step{n, i})
 			leaf, err := findLeaf(child)
-			if err != nil {
-				t.store.Unpin(child)
-				return nil, err
-			}
-			if leaf != nil {
-				// child is on the deletion path and will be mutated (or
-				// dissolved); dirty it while still pinned.
-				t.store.MarkDirty(child)
-				t.store.Unpin(child)
-				return leaf, nil
+			if err != nil || leaf != nil {
+				return leaf, err
 			}
 			path = path[:len(path)-1]
-			t.store.Unpin(child)
 		}
 		return nil, nil
 	}
-	root, err := t.store.Pin(t.rootID)
+	root, err := t.mem.Pin(t.rootID)
 	if err != nil {
 		return false, err
 	}
 	leaf, err := findLeaf(root)
-	if err != nil {
-		t.store.Unpin(root)
+	if err != nil || leaf == nil {
 		return false, err
 	}
-	if leaf == nil {
-		t.store.Unpin(root)
-		return false, nil
-	}
-	t.store.MarkDirty(root)
-	t.store.Unpin(root)
 
 	// Remove the entry from the leaf.
 	for i := range leaf.rids {
@@ -119,18 +106,18 @@ func (t *Tree) Delete(key geom.Vector, rid int64) (bool, error) {
 	// surviving child becomes the root; the old root page is freed.
 	cur := root
 	for !cur.IsLeaf() && len(cur.children) == 1 {
-		child, err := t.pinDirty(cur.children[0])
+		child, err := t.mem.Pin(cur.children[0])
 		if err != nil {
 			return false, err
 		}
-		t.store.Free(cur.id)
+		t.mem.free(cur.id)
 		t.rootID = child.id
 		t.height--
 		cur = child
 	}
 	if !cur.IsLeaf() && len(cur.children) == 0 {
-		t.store.Free(cur.id)
-		t.rootID = t.store.Alloc(0).id
+		t.mem.free(cur.id)
+		t.rootID = t.mem.alloc(0).id
 		t.height = 1
 	}
 
@@ -147,8 +134,8 @@ func (t *Tree) Delete(key geom.Vector, rid int64) (bool, error) {
 
 // collectPoints gathers every point stored beneath n into out. The keys are
 // views into the (soon abandoned) flat blocks — they stay valid after the
-// pages are unpinned and freed, because the arrays are never recycled —
-// and reinsertion copies them into their destination leaves.
+// pages are freed, because the arrays are never recycled — and reinsertion
+// copies them into their destination leaves.
 func (t *Tree) collectPoints(n *Node, out *[]Point) error {
 	if n.IsLeaf() {
 		for i := range n.rids {
@@ -157,13 +144,11 @@ func (t *Tree) collectPoints(n *Node, out *[]Point) error {
 		return nil
 	}
 	for _, c := range n.children {
-		child, err := t.store.Pin(c)
+		child, err := t.mem.Pin(c)
 		if err != nil {
 			return err
 		}
-		err = t.collectPoints(child, out)
-		t.store.Unpin(child)
-		if err != nil {
+		if err := t.collectPoints(child, out); err != nil {
 			return err
 		}
 	}
@@ -176,15 +161,12 @@ func (t *Tree) collectPoints(n *Node, out *[]Point) error {
 func (t *Tree) freeSubtree(n *Node) {
 	if !n.IsLeaf() {
 		for _, c := range n.children {
-			child, err := t.store.Pin(c)
-			if err != nil {
-				continue
+			if child, err := t.mem.Pin(c); err == nil {
+				t.freeSubtree(child)
 			}
-			t.freeSubtree(child)
-			t.store.Unpin(child)
 		}
 	}
-	t.store.Free(n.id)
+	t.mem.free(n.id)
 }
 
 // tightPred recomputes a node's predicate from its current contents.

@@ -20,10 +20,11 @@
 // (RangeSearch, Lookup, Walk, CheckIntegrity, the stats accessors) takes
 // the read lock itself; the search algorithms in blobindex/internal/nn
 // traverse nodes directly and participate via the exported RLock/RUnlock
-// pair. Mutating operations (Insert, Delete, TightenPredicates) take the
-// exclusive lock, so any number of searches may run concurrently with each
-// other and are serialized only against writers. Traces are per-query
-// state and must not be shared between goroutines.
+// pair. Mutating operations (Insert, Delete, TightenPredicates) exist only
+// for trees held in memory (see NodeStore) and take the exclusive lock, so
+// any number of searches may run concurrently with each other and are
+// serialized only against writers. Traces are per-query state and must not
+// be shared between goroutines.
 package gist
 
 import (
@@ -201,6 +202,7 @@ type Tree struct {
 	minFill  float64 // minimum fill fraction enforced on splits/deletes
 
 	store  NodeStore
+	mem    *MemStore // the writable store; nil for a NewFromStore tree
 	rootID page.PageID
 	height int // number of levels (a lone leaf root has height 1)
 	size   int // number of stored points
@@ -241,6 +243,7 @@ func New(ext Extension, cfg Config) (*Tree, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
+	mem := NewMemStore(cfg.Dim)
 	t := &Tree{
 		ext:      ext,
 		dim:      cfg.Dim,
@@ -248,9 +251,10 @@ func New(ext Extension, cfg Config) (*Tree, error) {
 		leafCap:  page.LeafCapacity(cfg.PageSize, cfg.Dim),
 		innerCap: page.Capacity(cfg.PageSize, ext.BPWords(cfg.Dim)),
 		minFill:  cfg.MinFill,
-		store:    NewMemStore(cfg.Dim),
+		store:    mem,
+		mem:      mem,
 	}
-	t.rootID = t.store.Alloc(0).id
+	t.rootID = mem.alloc(0).id
 	t.height = 1
 	return t, nil
 }

@@ -5,13 +5,15 @@ import "fmt"
 // Insert adds a (key, RID) pair to the tree, descending along minimal
 // penalty children, splitting overflowing nodes with the extension's
 // PickSplit methods, and propagating splits and predicate adjustments to the
-// root (INSERT template of GiST §2.1).
+// root (INSERT template of GiST §2.1). A tree from NewFromStore is
+// read-only: Insert returns ErrReadOnly without touching it.
 //
-// Every node on the insertion path is mutated (its child predicate is
-// extended), so the descent marks each visited node dirty while pinned;
-// per the NodeStore contract a dirty node stays the resident copy, which
-// keeps the collected path pointers valid for the split phase.
+// The tree is held in a MemStore, where every node is the resident copy, so
+// the pointers collected on the descent stay valid for the split phase.
 func (t *Tree) Insert(p Point) error {
+	if t.mem == nil {
+		return ErrReadOnly
+	}
 	if len(p.Key) != t.dim {
 		return fmt.Errorf("gist: key dimension %d, tree dimension %d", len(p.Key), t.dim)
 	}
@@ -27,7 +29,7 @@ func (t *Tree) insertLocked(p Point) error {
 		idx  int
 	}
 	var path []step
-	n, err := t.pinDirty(t.rootID)
+	n, err := t.mem.Pin(t.rootID)
 	if err != nil {
 		return err
 	}
@@ -39,7 +41,7 @@ func (t *Tree) insertLocked(p Point) error {
 			}
 		}
 		path = append(path, step{n, best})
-		if n, err = t.pinDirty(n.children[best]); err != nil {
+		if n, err = t.mem.Pin(n.children[best]); err != nil {
 			return err
 		}
 	}
@@ -62,10 +64,9 @@ func (t *Tree) insertLocked(p Point) error {
 		sibling, leftPred, rightPred := t.split(over)
 		if i < 0 {
 			// Splitting the root: grow the tree by one level.
-			newRoot := t.store.Alloc(over.level + 1)
+			newRoot := t.mem.alloc(over.level + 1)
 			newRoot.preds = []Predicate{leftPred, rightPred}
 			newRoot.children = []PageID{over.id, sibling.id}
-			t.store.MarkDirty(newRoot)
 			t.rootID = newRoot.id
 			t.height++
 			return nil
@@ -78,18 +79,6 @@ func (t *Tree) insertLocked(p Point) error {
 	}
 }
 
-// pinDirty pins id, marks the node dirty (it is about to be mutated), and
-// immediately unpins: the dirty mark keeps the pointer the resident copy.
-func (t *Tree) pinDirty(id PageID) (*Node, error) {
-	n, err := t.store.Pin(id)
-	if err != nil {
-		return nil, err
-	}
-	t.store.MarkDirty(n)
-	t.store.Unpin(n)
-	return n, nil
-}
-
 func (t *Tree) overflows(n *Node) bool {
 	if n.IsLeaf() {
 		return len(n.rids) > t.leafCap
@@ -100,7 +89,7 @@ func (t *Tree) overflows(n *Node) bool {
 // split divides an overflowing node in two, returning the new sibling and
 // the predicates of the (now smaller) original node and the sibling.
 func (t *Tree) split(n *Node) (sibling *Node, leftPred, rightPred Predicate) {
-	sibling = t.store.Alloc(n.level)
+	sibling = t.mem.alloc(n.level)
 	if n.IsLeaf() {
 		li, ri := t.ext.PickSplitPoints(n.leafKeys())
 		d := n.dim

@@ -31,7 +31,7 @@ func FromRaw(ext Extension, cfg Config, root *RawNode) (*Tree, error) {
 	size := 0
 	var convert func(rn *RawNode) (*Node, error)
 	convert = func(rn *RawNode) (*Node, error) {
-		n := t.store.Alloc(rn.Level)
+		n := t.mem.alloc(rn.Level)
 		if rn.Level == 0 {
 			if len(rn.Keys) != len(rn.RIDs) {
 				return nil, fmt.Errorf("gist: raw leaf has %d keys, %d rids",
@@ -72,7 +72,7 @@ func FromRaw(ext Extension, cfg Config, root *RawNode) (*Tree, error) {
 	}
 	// Retire the placeholder empty root New allocated as page 0; converted
 	// nodes keep their depth-first ids starting at 1.
-	t.store.Free(t.rootID)
+	t.mem.free(t.rootID)
 	t.rootID = newRoot.id
 	t.height = root.Level + 1
 	t.size = size

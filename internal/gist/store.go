@@ -1,39 +1,37 @@
 package gist
 
 import (
+	"errors"
 	"fmt"
 
 	"blobindex/internal/page"
 )
 
+// ErrReadOnly is returned by Insert, Delete and TightenPredicates on a tree
+// assembled by NewFromStore: only a tree held in a MemStore is writable.
+var ErrReadOnly = errors.New("gist: tree is read-only")
+
 // PageID aliases page.PageID; the storage layer below a tree addresses
 // nodes exclusively by it.
 type PageID = page.PageID
 
-// NodeStore is the storage layer beneath a Tree: nodes are addressed by
-// page.PageID and materialized on demand. The tree and the search code in
-// blobindex/internal/nn never follow raw pointers between nodes — every
-// traversal edge is a Pin/Unpin pair against the store, which is what lets
-// one tree implementation run both fully in memory (MemStore) and demand-
-// paged from disk through a pinning buffer pool (blobindex/internal/pagefile
-// Store).
+// NodeStore is the read side of the storage layer beneath a Tree: nodes are
+// addressed by page.PageID and materialized on demand. The tree and the
+// search code in blobindex/internal/nn never follow raw pointers between
+// nodes — every traversal edge is a Pin/Unpin pair against the store, which
+// is what lets one tree implementation run both fully in memory (MemStore)
+// and demand-paged from disk through a pinning buffer pool
+// (blobindex/internal/pagefile Store).
 //
 // Pin rules:
 //
 //   - Every successful Pin is balanced by exactly one Unpin. A pinned node
 //     stays resident; an unpinned node may be evicted and re-decoded, so a
-//     *Node obtained from Pin must not be used after its Unpin — with one
-//     exception below.
-//   - A node about to be mutated is passed to MarkDirty while pinned. Dirty
-//     nodes are exempt from eviction until the store is flushed or closed,
-//     so after MarkDirty the caller's pointer stays the resident copy even
-//     across Unpin. Mutating entry points hold the tree's exclusive lock,
-//     so there is never a concurrent reader of a node being dirtied.
-//   - Alloc returns a fresh node that is born dirty (resident until flush);
-//     it needs no Unpin.
-//   - Free releases a page that is no longer referenced by the tree. Its id
-//     is not reused by MemStore (ids stay append-only so traces and saved
-//     layouts remain stable).
+//     *Node obtained from Pin must not be used after its Unpin.
+//   - Only the memory store is writable. Insert, Delete and
+//     TightenPredicates mutate a tree built in memory (New, BulkLoad,
+//     FromRaw) through its MemStore directly; a tree assembled over any
+//     other store by NewFromStore is read-only and they return ErrReadOnly.
 //
 // Read-only data handed out of a node (LeafKey views, FlatKeys blocks) stays
 // valid after Unpin and even after eviction: eviction only drops the store's
@@ -41,17 +39,8 @@ type PageID = page.PageID
 type NodeStore interface {
 	// Pin materializes the node for id and holds it resident until Unpin.
 	Pin(id page.PageID) (*Node, error)
-	// Unpin releases one Pin. Calling it with a node the store no longer
-	// tracks (e.g. one freed while pinned) is a no-op.
+	// Unpin releases one Pin.
 	Unpin(n *Node)
-	// Alloc creates an empty node at the given level with a fresh page id,
-	// assigned in strictly increasing order.
-	Alloc(level int) *Node
-	// MarkDirty flags a pinned node as mutated: it stays resident (and its
-	// identity stable) until the store persists it.
-	MarkDirty(n *Node)
-	// Free drops the page from the store; subsequent Pins of id fail.
-	Free(id page.PageID)
 }
 
 // StatsProvider is implemented by stores backed by a real buffer pool; the
@@ -72,10 +61,11 @@ type Prefetcher interface {
 }
 
 // MemStore keeps every node in memory, indexed by page id — the storage
-// layer of freshly built trees and the behavior of the codebase before the
-// storage split. Pin is a bounds-checked slice index and Unpin/MarkDirty are
-// no-ops, so the query hot path over a MemStore allocates nothing and costs
-// one interface call per visited node.
+// layer of freshly built trees and the only one a tree mutates. Pin is a
+// bounds-checked slice index and Unpin is a no-op, so the query hot path over
+// a MemStore allocates nothing and costs one interface call per visited node.
+// Every node is always the resident copy, so the write paths keep node
+// pointers across a mutation without pinning them.
 //
 // MemStore itself is not synchronized; it relies on the Tree's RWMutex
 // discipline (concurrent readers never mutate, writers are exclusive).
@@ -100,19 +90,16 @@ func (m *MemStore) Pin(id page.PageID) (*Node, error) {
 // Unpin is a no-op: memory-resident nodes are never evicted.
 func (m *MemStore) Unpin(*Node) {}
 
-// Alloc appends a fresh node; ids are assigned densely from 0 and never
-// reused, reproducing the page-id sequence of the pre-store tree.
-func (m *MemStore) Alloc(level int) *Node {
+// alloc appends a fresh node; ids are assigned densely from 0 and never
+// reused, so traces and saved layouts keep stable page ids.
+func (m *MemStore) alloc(level int) *Node {
 	n := &Node{id: page.PageID(len(m.nodes)), level: level, dim: m.dim}
 	m.nodes = append(m.nodes, n)
 	return n
 }
 
-// MarkDirty is a no-op: every node is always the resident copy.
-func (m *MemStore) MarkDirty(*Node) {}
-
-// Free nils the slot. The id is retired, not reused.
-func (m *MemStore) Free(id page.PageID) {
+// free nils the slot. The id is retired, not reused.
+func (m *MemStore) free(id page.PageID) {
 	if id >= 0 && int(id) < len(m.nodes) {
 		m.nodes[id] = nil
 	}
@@ -131,10 +118,12 @@ func NewInnerNode(id page.PageID, level, dim int, preds []Predicate, children []
 	return &Node{id: id, level: level, dim: dim, preds: preds, children: children}
 }
 
-// NewFromStore assembles a Tree over an existing node store — the open path
-// for persisted indexes, where the store demand-pages nodes and the tree
-// must not be materialized eagerly. No integrity check runs (it would fault
-// in the whole tree); callers wanting one run CheckIntegrity explicitly.
+// NewFromStore assembles a read-only Tree over an existing node store — the
+// open path for persisted indexes, where the store demand-pages nodes and
+// the tree must not be materialized eagerly. Insert, Delete and
+// TightenPredicates on it return ErrReadOnly. No integrity check runs (it
+// would fault in the whole tree); callers wanting one run CheckIntegrity
+// explicitly.
 func NewFromStore(ext Extension, cfg Config, store NodeStore, rootID page.PageID, height, size int) (*Tree, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err

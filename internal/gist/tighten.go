@@ -11,9 +11,13 @@ import "blobindex/internal/geom"
 // insertion support for JB and XJB that the paper lists as future work (§8).
 //
 // The pass visits every node once and costs one FromPoints call per entry
-// over the points of the entry's subtree. Every internal node is mutated, so
-// each is marked dirty as it is visited; leaves are only read.
+// over the points of the entry's subtree. Every internal node is mutated;
+// leaves are only read. A tree from NewFromStore is read-only:
+// TightenPredicates returns ErrReadOnly without touching it.
 func (t *Tree) TightenPredicates() error {
+	if t.mem == nil {
+		return ErrReadOnly
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	_, err := t.tightenID(t.rootID)
@@ -21,18 +25,15 @@ func (t *Tree) TightenPredicates() error {
 }
 
 // tightenID recomputes the predicates of the node's entries and returns all
-// points stored beneath it. The returned key views outlive the pins (the
-// underlying arrays are never recycled).
+// points stored beneath it.
 func (t *Tree) tightenID(id PageID) ([]geom.Vector, error) {
-	n, err := t.store.Pin(id)
+	n, err := t.mem.Pin(id)
 	if err != nil {
 		return nil, err
 	}
-	defer t.store.Unpin(n)
 	if n.IsLeaf() {
 		return n.leafKeys(), nil
 	}
-	t.store.MarkDirty(n)
 	var all []geom.Vector
 	for i, child := range n.children {
 		pts, err := t.tightenID(child)

@@ -125,12 +125,11 @@ func NewPinnedPool(capacity int) *PinnedPool {
 }
 
 // SetEvictHook registers fn to receive the value of every frame the pool
-// drops while it is unpinned — capacity eviction, EvictAll, Remove of an
-// unpinned frame — so the owner can recycle the value's buffers into its next
-// load. Once fn has seen a value nothing reaches it through the pool again; a
-// pinned frame's value is never handed over (Remove of a pinned frame leaves
-// it to its holders). fn runs under the pool's lock: it must be quick and
-// must not call back into the pool. Call before the pool is shared.
+// drops — capacity eviction and EvictAll, both of which only ever drop
+// unpinned frames — so the owner can recycle the value's buffers into its
+// next load. Once fn has seen a value nothing reaches it through the pool
+// again. fn runs under the pool's lock: it must be quick and must not call
+// back into the pool. Call before the pool is shared.
 func (p *PinnedPool) SetEvictHook(fn func(v any)) { p.onEvict = fn }
 
 // newFrame returns bookkeeping for a page entering the pool, reusing a
@@ -148,15 +147,15 @@ func (p *PinnedPool) newFrame(id PageID, v any) *pframe {
 	return fr
 }
 
-// dropLocked forgets fr, which the caller has taken off the LRU ring (or
-// which is pinned and being Removed): an unpinned frame's value goes to the
-// evict hook, and the bookkeeping onto the free chain.
+// dropLocked forgets fr, an unpinned frame the caller has taken off the LRU
+// ring: its value goes to the evict hook, and the bookkeeping onto the free
+// chain.
 func (p *PinnedPool) dropLocked(fr *pframe) {
 	delete(p.frames, fr.id)
 	if fr.prefetched {
 		p.prefetchBad++
 	}
-	if fr.pins == 0 && p.onEvict != nil {
+	if p.onEvict != nil {
 		p.onEvict(fr.v)
 	}
 	*fr = pframe{next: p.free}
@@ -252,7 +251,7 @@ func (p *PinnedPool) Unpin(id PageID) {
 	defer p.mu.Unlock()
 	fr := p.frames[id]
 	if fr == nil || fr.pins == 0 {
-		return // already removed (MarkDirty/Free) or never pinned
+		return // never pinned
 	}
 	fr.pins--
 	if fr.pins == 0 {
@@ -282,25 +281,6 @@ func (p *PinnedPool) Contains(id PageID) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.frames[id] != nil
-}
-
-// Remove drops id from the pool regardless of pin state, used when a page
-// is dissolved or migrates to a dirty set that manages its own residency.
-func (p *PinnedPool) Remove(id PageID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fr := p.frames[id]
-	if fr == nil {
-		return
-	}
-	if fr.pins > 0 {
-		// Holders still Unpin this id later; Unpin tolerates the missing
-		// frame, so the bookkeeping can be reused at once.
-		p.pinned--
-	} else {
-		p.lruRemove(fr)
-	}
-	p.dropLocked(fr)
 }
 
 // EvictAll drops every unpinned frame — a cold restart of the cache, used

@@ -148,7 +148,7 @@ func TestPinnedPoolConcurrent(t *testing.T) {
 // TestPinnedPoolCounterConsistencyUnderChurn is the accounting contract
 // under adversarial concurrency (run with -race, as make check does): with
 // workers hammering overlapping id ranges — including double pins, racing
-// loads of the same page, Removes and periodic EvictAlls — every Pin call
+// loads of the same page and periodic EvictAlls — every Pin call
 // still lands in exactly one of Hits or Misses, and residency never
 // exceeds the frame budget beyond what pinned frames force. A concurrent
 // observer checks the occupancy invariant mid-churn, not just at rest.
@@ -218,10 +218,6 @@ func TestPinnedPoolCounterConsistencyUnderChurn(t *testing.T) {
 						p.Insert(id2, int(id2))
 					}
 					p.Unpin(id2)
-				case 3:
-					// A page dissolving (MarkDirty/Free path). Remove doesn't
-					// touch the traffic counters.
-					p.Remove(next(idSpace))
 				case 5:
 					if w == 0 {
 						p.EvictAll() // cold restarts aren't counted either
@@ -274,7 +270,7 @@ func TestBufferPoolConcurrentAccess(t *testing.T) {
 
 // Prefetch mechanics: a prefetched frame is claimed by the first Pin as a
 // miss plus a prefetch hit (never a plain hit), and prefetched loads that
-// never pay off — evicted unused, removed, or duplicating a resident or
+// never pay off — evicted unused or duplicating a resident or
 // in-flight demand load — count as wasted. Exactly one of hit/wasted is
 // eventually charged per InsertPrefetch.
 func TestPinnedPoolPrefetchHitCountsAsMiss(t *testing.T) {
@@ -336,18 +332,12 @@ func TestPinnedPoolPrefetchWasted(t *testing.T) {
 	}
 	p.Unpin(3)
 
-	// Remove of an unclaimed prefetched frame counts as wasted too.
+	// EvictAll over an unclaimed prefetched frame counts as wasted too.
 	q := NewPinnedPool(4)
-	q.InsertPrefetch(9, "nine")
-	q.Remove(9)
-	if st := q.Stats(); st.PrefetchWasted != 1 {
-		t.Fatalf("Remove of prefetched frame: %+v, want wasted=1", st)
-	}
-	// And EvictAll over an unclaimed frame.
 	q.InsertPrefetch(10, "ten")
 	q.EvictAll()
-	if st := q.Stats(); st.PrefetchWasted != 2 {
-		t.Fatalf("EvictAll over prefetched frame: %+v, want wasted=2", st)
+	if st := q.Stats(); st.PrefetchWasted != 1 {
+		t.Fatalf("EvictAll over prefetched frame: %+v, want wasted=1", st)
 	}
 }
 
@@ -387,15 +377,11 @@ func TestPinnedPoolEvictHook(t *testing.T) {
 	load(4) // evicts 2, the only unpinned frame
 	expect("capacity eviction on Insert", 2)
 
-	p.Remove(3) // still pinned: its holder keeps the value
-	expect("Remove of a pinned frame")
-	p.Unpin(3) // tolerated: the frame is gone
+	p.Unpin(3)
 	p.Unpin(4)
-	p.Remove(4)
-	expect("Remove of an unpinned frame", 4)
-
-	load(5)
-	load(6)
+	load(5) // evicts 3, the least recently used
+	load(6) // evicts 4
+	expect("capacity eviction in LRU order", 3, 4)
 	p.Unpin(5)
 	p.EvictAll() // drops 5, keeps the pinned 6
 	expect("EvictAll", 5)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -75,8 +76,9 @@ func FuzzLoad(f *testing.F) {
 }
 
 // fuzzSeeds derives the corpus from one valid file: truncations at the
-// magic, mid-header, header/page boundary and mid-pages, plus single-byte
-// corruptions of the version, header CRC region and page payloads.
+// magic, mid-header, header/page boundary and mid-pages, single-byte
+// corruptions of the version, header CRC region and page payloads, and the
+// resealed images of indexSeeds.
 func fuzzSeeds(valid []byte) [][]byte {
 	flip := func(off int, bit byte) []byte {
 		b := append([]byte(nil), valid...)
@@ -85,7 +87,7 @@ func fuzzSeeds(valid []byte) [][]byte {
 		}
 		return b
 	}
-	return [][]byte{
+	seeds := [][]byte{
 		valid,
 		valid[:len(valid)/2],
 		valid[:40],
@@ -100,13 +102,79 @@ func fuzzSeeds(valid []byte) [][]byte {
 		[]byte("BLOBIDX\x02 short"),
 		{},
 	}
+	for _, seed := range indexSeeds(valid) {
+		seeds = append(seeds, seed.data)
+	}
+	return seeds
 }
 
-// FuzzOpenPaged feeds the same corpus to the demand-paged open path: the
-// header is validated eagerly, node pages lazily at pin time, and neither
-// stage may panic. Queries over an accepted file must either succeed or
-// fail cleanly when a pinned page turns out corrupt or missing.
-func FuzzOpenPaged(f *testing.F) {
+// Header field offsets of a version 2 index file (see the package comment).
+const (
+	hdrPageSize = len(magic) + 1
+	hdrHeight   = hdrPageSize + 4*2
+	hdrNumPages = hdrPageSize + 4*3
+	hdrRootPage = hdrPageSize + 4*4
+	hdrCRC      = headerFixed - 4
+)
+
+// resealIndex recomputes the header CRC and every node page CRC of an index
+// image after a test edited it, so the edit reaches the validation behind
+// the checksums. Pages are located by the image's own page size; a trailing
+// partial page is left alone.
+func resealIndex(data []byte) []byte {
+	pageSize := int(binary.LittleEndian.Uint32(data[hdrPageSize:]))
+	binary.LittleEndian.PutUint32(data[hdrCRC:], 0)
+	binary.LittleEndian.PutUint32(data[hdrCRC:], crc32.ChecksumIEEE(data[:pageSize]))
+	for off := pageSize; off+pageSize <= len(data); off += pageSize {
+		pg := data[off : off+pageSize]
+		binary.LittleEndian.PutUint32(pg[4:], 0)
+		binary.LittleEndian.PutUint32(pg[4:], crc32.ChecksumIEEE(pg))
+	}
+	return data
+}
+
+// indexSeed is one crafted, CRC-valid index image and the error that must
+// refuse it: at open when atOpen, otherwise when a search pins the page.
+type indexSeed struct {
+	name    string
+	data    []byte
+	rejects string
+	atOpen  bool
+}
+
+// indexSeeds derives from one valid image the shapes that only the checks
+// behind the checksums can refuse: a header whose height cannot size the
+// per-level counters, one claiming more pages than the file holds, and a
+// root page at a level the header's height does not have.
+func indexSeeds(valid []byte) []indexSeed {
+	resealed := func(fn func(b []byte)) []byte {
+		b := bytes.Clone(valid)
+		fn(b)
+		return resealIndex(b)
+	}
+	u32 := func(off int) uint32 { return binary.LittleEndian.Uint32(valid[off:]) }
+	put32 := func(off int, v uint32) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint32(b[off:], v) }
+	}
+	numPages, pageSize := u32(hdrNumPages), int(u32(hdrPageSize))
+	rootLevel := (1 + int(u32(hdrRootPage))) * pageSize
+	return []indexSeed{
+		{"height 0", resealed(put32(hdrHeight, 0)), "corrupt header", true},
+		{"height beyond numPages", resealed(put32(hdrHeight, numPages+1)), "corrupt header", true},
+		{"pages beyond the file", resealed(func(b []byte) {
+			put32(hdrNumPages, 1<<20)(b)
+			put32(hdrHeight, 1<<20)(b)
+		}), "header claims 1048576 pages", true},
+		{"root at level = height", resealed(func(b []byte) {
+			binary.LittleEndian.PutUint16(b[rootLevel:], uint16(u32(hdrHeight)))
+		}), "in a tree of height", false},
+	}
+}
+
+// pagedSeedImage is the valid index image FuzzOpenPaged and
+// TestOpenPagedSeeds derive their corpus from: 300 2-d points under the
+// R-tree on 1 KiB pages.
+func pagedSeedImage(tb testing.TB) []byte {
 	rng := rand.New(rand.NewSource(2))
 	pts := make([]gist.Point, 300)
 	for i := range pts {
@@ -118,27 +186,73 @@ func FuzzOpenPaged(f *testing.F) {
 	}
 	ext, err := am.New(am.KindRTree, am.Options{})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := gist.Config{Dim: 2, PageSize: 1024}
 	probe, err := gist.New(ext, cfg)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	str.Order(pts, probe.LeafCapacity())
 	tree, err := gist.BulkLoad(ext, cfg, pts, 1.0)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	path := filepath.Join(f.TempDir(), "seed.idx")
+	path := filepath.Join(tb.TempDir(), "seed.idx")
 	if err := Save(path, tree); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	valid, err := os.ReadFile(path)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	for _, seed := range fuzzSeeds(valid) {
+	return valid
+}
+
+// TestOpenPagedSeeds checks that every resealed image gets past the
+// checksums and is refused by the check it was built to reach: the header
+// seeds at open, the page seed as a search error. Load refuses them all at
+// load time.
+func TestOpenPagedSeeds(t *testing.T) {
+	for _, seed := range indexSeeds(pagedSeedImage(t)) {
+		p := filepath.Join(t.TempDir(), "seed.idx")
+		if err := os.WriteFile(p, seed.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(p, am.Options{}); err == nil || errors.Is(err, ErrChecksum) {
+			t.Errorf("%s: Load = %v, want a check behind the checksums", seed.name, err)
+		}
+		paged, store, err := OpenPaged(p, am.Options{}, 4)
+		if seed.atOpen {
+			if err == nil || !strings.Contains(err.Error(), seed.rejects) {
+				t.Errorf("%s: OpenPaged = %v, want %q", seed.name, err, seed.rejects)
+			}
+			if err == nil {
+				store.Close()
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: OpenPaged = %v, want it to open", seed.name, err)
+			continue
+		}
+		res, err := nn.SearchCtxInto(context.Background(), paged, geom.Vector{50, 50}, 10, nil, nil)
+		if err == nil || !strings.Contains(err.Error(), seed.rejects) {
+			t.Errorf("%s: search = (%d results, %v), want %q", seed.name, len(res), err, seed.rejects)
+		}
+		if st := store.PoolStats(); st.Pinned != 0 {
+			t.Errorf("%s: %d pages left pinned", seed.name, st.Pinned)
+		}
+		store.Close()
+	}
+}
+
+// FuzzOpenPaged feeds the same corpus to the demand-paged open path: the
+// header is validated eagerly, node pages lazily at pin time, and neither
+// stage may panic. Queries over an accepted file must either succeed or
+// fail cleanly when a pinned page turns out corrupt or missing.
+func FuzzOpenPaged(f *testing.F) {
+	for _, seed := range fuzzSeeds(pagedSeedImage(f)) {
 		f.Add(seed)
 	}
 

@@ -72,8 +72,6 @@ var (
 	// clear (an injected fault, EINTR/EAGAIN from the OS). Store.Pin
 	// retries these with jittered backoff before giving up.
 	ErrTransient = errors.New("pagefile: transient read failure")
-	// ErrFreed marks a Pin of a page id retired by Free.
-	ErrFreed = errors.New("pagefile: page was freed")
 )
 
 // header carries the decoded header-page fields.
@@ -120,9 +118,10 @@ func readHeader(r io.Reader) (header, error) {
 	h.name = trimZero(fixed[off : off+16])
 	off += 16
 	storedCRC := binary.LittleEndian.Uint32(fixed[off:])
-	if h.pageSize < 256 || h.dim < 1 || h.numPages < 1 || h.rootPage >= h.numPages {
-		return h, fmt.Errorf("pagefile: corrupt header (page=%d dim=%d pages=%d root=%d)",
-			h.pageSize, h.dim, h.numPages, h.rootPage)
+	if h.pageSize < 256 || h.dim < 1 || h.numPages < 1 || h.rootPage >= h.numPages ||
+		h.height < 1 || h.height > h.numPages {
+		return h, fmt.Errorf("pagefile: corrupt header (page=%d dim=%d height=%d pages=%d root=%d)",
+			h.pageSize, h.dim, h.height, h.numPages, h.rootPage)
 	}
 	// The CRC covers the whole header page with the CRC field zeroed.
 	rest := make([]byte, h.pageSize-headerFixed)
@@ -136,6 +135,20 @@ func readHeader(r io.Reader) (header, error) {
 		return h, fmt.Errorf("%w: header", ErrChecksum)
 	}
 	return h, nil
+}
+
+// checkFileSize refuses a header that claims more pages than f holds.
+// readHeader bounds the height by numPages, and both openers size
+// allocations from them, so numPages is bounded by the file in turn.
+func checkFileSize(f *os.File, h header) error {
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if fi.Size() < int64(1+h.numPages)*int64(h.pageSize) {
+		return fmt.Errorf("pagefile: header claims %d pages, file holds %d bytes", h.numPages, fi.Size())
+	}
+	return nil
 }
 
 // extFor reconstructs the access method an index was built with.
@@ -166,6 +179,10 @@ func decodeNodePage(buf []byte, p int, h header, bpWords int, codec am.Predicate
 	}
 	level = int(binary.LittleEndian.Uint16(buf[0:]))
 	entries := int(binary.LittleEndian.Uint16(buf[2:]))
+	if level >= h.height {
+		return 0, nil, nil, nil, nil, fmt.Errorf("pagefile: page %d at level %d in a tree of height %d",
+			p, level, h.height)
+	}
 	pos := 8
 	if level == 0 {
 		if pos+entries*(h.dim*8+8) > h.pageSize {
@@ -212,9 +229,8 @@ func decodeNodePage(buf []byte, p int, h header, bpWords int, codec am.Predicate
 
 // Save writes the tree to path in format version 2. The tree's extension
 // must implement am.PredicateCodec (every access method in internal/am
-// does). Saving walks the tree through its node store, so a mutated
-// demand-paged index can be persisted back out the same way an in-memory
-// one is.
+// does). Saving walks the tree through its node store, so an opened
+// (read-only) index can be copied out the same way an in-memory one is.
 //
 // Save is crash-atomic: the pages are written to path+".tmp", flushed and
 // fsynced, and only then renamed over path (followed by an fsync of the
@@ -394,6 +410,9 @@ func Load(path string, opts am.Options) (*gist.Tree, error) {
 	r := bufio.NewReaderSize(f, 1<<20)
 
 	h, err := readHeader(r)
+	if err == nil {
+		err = checkFileSize(f, h)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -26,17 +26,11 @@ import (
 // the amdb simulation's per-level I/O counts can be checked against actual
 // buffer traffic.
 //
-// Mutations never touch the file in place. A node passed to MarkDirty (or
-// born from Alloc) migrates out of the pool into a dirty set where it stays
-// resident with stable identity until the tree is persisted again with
-// Save; Free retires a page id for the lifetime of the store. Dirty-set
-// hits are not counted in the pool's statistics — a dirty page is resident
-// by definition, not a buffering decision.
-//
-// The store is safe for concurrent readers (the pool is internally locked
-// and racing loads of the same page resolve to one resident copy); the
-// dirty set is only written under the tree's exclusive lock, matching the
-// NodeStore contract.
+// The store is read-only: a tree over it returns gist.ErrReadOnly from
+// every mutating call, and the file is never written. It is safe for
+// concurrent readers — the pool is internally locked, racing loads of the
+// same page resolve to one resident copy, and the per-level counters are
+// atomics, so Pin takes no store lock.
 type Store struct {
 	f       faultio.File
 	h       header
@@ -58,13 +52,13 @@ type Store struct {
 	prefetchCh chan page.PageID
 	prefetchWG sync.WaitGroup
 
-	mu           sync.Mutex
-	closed       bool
-	dirty        map[page.PageID]*gist.Node
-	freed        map[page.PageID]bool
-	next         page.PageID // next Alloc id; starts past the file's pages
-	missByLevel  []int64     // real page reads by tree level of the page
-	retryByLevel []int64     // transient-read retries by level, attributed on eventual success
+	// missByLevel counts real page reads by tree level of the page. It is
+	// sized by the header's height, and decodeNodePage refuses a page whose
+	// level is out of that range.
+	missByLevel []atomic.Int64
+
+	mu     sync.Mutex // guards closed against a late Prefetch send
+	closed bool
 }
 
 var (
@@ -74,12 +68,12 @@ var (
 )
 
 // OpenPaged opens a pagefile for demand-paged querying with a buffer pool
-// of poolPages frames. The returned tree serves searches, inserts and
-// deletes without ever materializing more than the pool holds plus the
-// pages currently pinned by active traversals; mutations accumulate in
-// memory until the tree is written back out with Save. The Store is
-// returned alongside the tree for lifecycle (Close) and statistics access;
-// it is the same value as tree.Store().
+// of poolPages frames. The returned tree is read-only: it serves searches
+// without ever materializing more than the pool holds plus the pages
+// currently pinned by active traversals, and its Insert, Delete and
+// TightenPredicates return gist.ErrReadOnly. The Store is returned
+// alongside the tree for lifecycle (Close) and statistics access; it is the
+// same value as tree.Store().
 func OpenPaged(path string, opts am.Options, poolPages int) (*gist.Tree, *Store, error) {
 	return OpenPagedIO(path, opts, poolPages, nil)
 }
@@ -95,6 +89,9 @@ func OpenPagedIO(path string, opts am.Options, poolPages int, wrap func(faultio.
 		return nil, nil, err
 	}
 	h, err := readHeader(f)
+	if err == nil {
+		err = checkFileSize(f, h)
+	}
 	if err != nil {
 		f.Close()
 		return nil, nil, err
@@ -115,10 +112,7 @@ func OpenPagedIO(path string, opts am.Options, poolPages int, wrap func(faultio.
 		ext:         ext,
 		codec:       codec,
 		pool:        page.NewPinnedPool(poolPages),
-		dirty:       make(map[page.PageID]*gist.Node),
-		freed:       make(map[page.PageID]bool),
-		next:        page.PageID(h.numPages),
-		missByLevel: make([]int64, h.height),
+		missByLevel: make([]atomic.Int64, h.height),
 	}
 	tree, err := gist.NewFromStore(ext, gist.Config{Dim: h.dim, PageSize: h.pageSize}, s,
 		page.PageID(h.rootPage), h.height, h.count)
@@ -160,11 +154,7 @@ func (s *Store) Prefetch(id page.PageID) {
 func (s *Store) prefetchLoop() {
 	defer s.prefetchWG.Done()
 	for id := range s.prefetchCh {
-		s.mu.Lock()
-		_, dirty := s.dirty[id]
-		skip := dirty || s.freed[id]
-		s.mu.Unlock()
-		if skip || s.pool.Contains(id) {
+		if s.pool.Contains(id) {
 			continue
 		}
 		// One attempt, no retries: a prefetch that fails transiently just
@@ -188,22 +178,12 @@ const (
 )
 
 // Pin returns the node for id, resident until the matching Unpin: from the
-// dirty set if the node was mutated, from the buffer pool on a hit, and by
-// reading and decoding its file page on a miss. Transient read failures
-// (ErrTransient) are retried with jittered exponential backoff up to
-// pinAttempts; corruption (ErrChecksum) and freed pages (ErrFreed) fail
-// immediately — re-reading cannot fix wrong bytes.
+// buffer pool on a hit, and by reading and decoding its file page on a miss.
+// Transient read failures (ErrTransient) are retried with jittered
+// exponential backoff up to pinAttempts; corruption (ErrChecksum, or a page
+// that contradicts the header) fails immediately — re-reading cannot fix
+// wrong bytes.
 func (s *Store) Pin(id page.PageID) (*gist.Node, error) {
-	s.mu.Lock()
-	if n, ok := s.dirty[id]; ok {
-		s.mu.Unlock()
-		return n, nil
-	}
-	if s.freed[id] {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("pagefile: page %d: %w", id, ErrFreed)
-	}
-	s.mu.Unlock()
 	if v, ok, prefetched := s.pool.PinTracked(id); ok {
 		n := v.(*gist.Node)
 		if prefetched {
@@ -211,53 +191,33 @@ func (s *Store) Pin(id page.PageID) (*gist.Node, error) {
 			// this pin's behalf, so attribute it per level exactly like a
 			// demand read — which keeps MissesByLevel equal to the amdb
 			// simulation's per-level I/Os regardless of prefetching.
-			s.mu.Lock()
-			for len(s.missByLevel) <= n.Level() {
-				s.missByLevel = append(s.missByLevel, 0)
-			}
-			s.missByLevel[n.Level()]++
-			s.mu.Unlock()
+			s.missByLevel[n.Level()].Add(1)
 		}
 		return n, nil
 	}
-	n, retried, err := s.readPageRetry(id)
+	n, err := s.readPageRetry(id)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	for len(s.missByLevel) <= n.Level() {
-		s.missByLevel = append(s.missByLevel, 0)
-	}
-	s.missByLevel[n.Level()]++
-	if retried > 0 {
-		for len(s.retryByLevel) <= n.Level() {
-			s.retryByLevel = append(s.retryByLevel, 0)
-		}
-		s.retryByLevel[n.Level()] += int64(retried)
-	}
-	s.mu.Unlock()
+	s.missByLevel[n.Level()].Add(1)
 	// Insert resolves racing loaders to a single resident copy.
 	return s.pool.Insert(id, n).(*gist.Node), nil
 }
 
 // readPageRetry reads a page, retrying transient failures with jittered
-// backoff. It reports how many retries the successful read needed (the
-// level is only known after a successful decode, so per-level attribution
-// happens in Pin); a pin that exhausts the budget counts toward gaveUp.
-func (s *Store) readPageRetry(id page.PageID) (*gist.Node, int, error) {
-	retried := 0
+// backoff; a pin that exhausts the budget counts toward gaveUp.
+func (s *Store) readPageRetry(id page.PageID) (*gist.Node, error) {
 	for attempt := 0; ; attempt++ {
 		n, err := s.readPage(id)
 		if err == nil {
-			return n, retried, nil
+			return n, nil
 		}
 		if !errors.Is(err, ErrTransient) || attempt >= pinAttempts-1 {
 			if errors.Is(err, ErrTransient) {
 				s.gaveUp.Add(1)
 			}
-			return nil, retried, err
+			return nil, err
 		}
-		retried++
 		s.retries.Add(1)
 		delay := float64(pinRetryBase<<attempt) * (0.5 + rand.Float64())
 		time.Sleep(time.Duration(delay))
@@ -273,49 +233,9 @@ func transientRead(err error) bool {
 		errors.Is(err, syscall.EAGAIN)
 }
 
-// Unpin releases one pin. For dirty nodes (no pool frame) it is a no-op,
-// which is exactly the contract: dirty nodes stay resident regardless.
+// Unpin releases one pin.
 func (s *Store) Unpin(n *gist.Node) {
 	s.pool.Unpin(n.ID())
-}
-
-// MarkDirty migrates a pinned node out of the pool into the dirty set,
-// where it is exempt from eviction and keeps its identity until Save.
-func (s *Store) MarkDirty(n *gist.Node) {
-	s.mu.Lock()
-	if _, ok := s.dirty[n.ID()]; !ok {
-		s.dirty[n.ID()] = n
-	}
-	s.mu.Unlock()
-	s.pool.Remove(n.ID())
-}
-
-// Alloc creates an empty node at the given level under a fresh id past the
-// file's page range. The node is born dirty.
-func (s *Store) Alloc(level int) *gist.Node {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := s.next
-	s.next++
-	var n *gist.Node
-	if level == 0 {
-		n = gist.NewLeafNode(id, s.h.dim, nil, nil)
-	} else {
-		n = gist.NewInnerNode(id, level, s.h.dim, nil, nil)
-	}
-	s.dirty[id] = n
-	return n
-}
-
-// Free retires a page id: it is dropped from the dirty set and the pool,
-// and subsequent Pins of it fail. The file itself is untouched until the
-// tree is saved again.
-func (s *Store) Free(id page.PageID) {
-	s.mu.Lock()
-	delete(s.dirty, id)
-	s.freed[id] = true
-	s.mu.Unlock()
-	s.pool.Remove(id)
 }
 
 // readPage reads and decodes one node page from the file.
@@ -356,22 +276,10 @@ func (s *Store) PoolStats() page.PoolStats {
 // simulation predicts with its per-level I/O accounting; with the pool
 // emptied between queries the two must agree exactly.
 func (s *Store) MissesByLevel() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]int64, len(s.missByLevel))
-	copy(out, s.missByLevel)
-	return out
-}
-
-// RetriesByLevel returns a copy of the per-level transient-read retry
-// counts (index = tree level, 0 = leaves). Retries are attributed to a
-// level once the page finally decodes; reads that never succeeded are in
-// the gave-up counter instead, since their level is unknowable.
-func (s *Store) RetriesByLevel() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int64, len(s.retryByLevel))
-	copy(out, s.retryByLevel)
+	for i := range s.missByLevel {
+		out[i] = s.missByLevel[i].Load()
+	}
 	return out
 }
 
@@ -387,30 +295,17 @@ func (s *Store) ResetStats() {
 	s.pool.ResetStats()
 	s.retries.Store(0)
 	s.gaveUp.Store(0)
-	s.mu.Lock()
 	for i := range s.missByLevel {
-		s.missByLevel[i] = 0
+		s.missByLevel[i].Store(0)
 	}
-	for i := range s.retryByLevel {
-		s.retryByLevel[i] = 0
-	}
-	s.mu.Unlock()
-}
-
-// Dirty reports how many nodes are held in the dirty set (allocated or
-// mutated since open), mainly for tests and diagnostics.
-func (s *Store) Dirty() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.dirty)
 }
 
 // Close releases the underlying file. It is idempotent — a second Close is
 // a nil no-op instead of an os.File double-close error, so stacked shutdown
 // paths (e.g. a daemon's signal handler and its deferred cleanup) compose.
 // The prefetch worker is drained and joined before the file closes, so no
-// background read ever touches a closed file. Dirty nodes are not written
-// back; persist with Save first if mutations must survive.
+// background read ever touches a closed file. The file was only ever read,
+// so there is nothing to write back.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {

@@ -1,7 +1,10 @@
 package pagefile
 
 import (
+	"crypto/sha256"
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -115,116 +118,66 @@ func TestOpenPagedWarmPoolServesFromMemory(t *testing.T) {
 	}
 }
 
-// Satellite: mutations flow through the file-backed store. For every access
-// method: open paged, insert, delete (copy-on-delete keeps file pages
-// untouched), tighten, and verify the GiST invariants plus query identity
-// against an in-memory tree that underwent the same edits.
-func TestPagedMutationMatchesInMemory(t *testing.T) {
+// An opened index is read-only. For every access method, Insert, Delete of
+// a present point and TightenPredicates on an OpenPaged tree each return
+// gist.ErrReadOnly, and afterwards the file's bytes, the tree's size, a
+// 200-NN answer and the pin balance are exactly what they were before.
+// Writes over an opened file go through a memory segment stacked on top of
+// it (the facade's OpenPaged tests cover that path).
+func TestPagedTreeRejectsWrites(t *testing.T) {
 	dir := t.TempDir()
 	for _, kind := range am.Kinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			tree, pts := buildTree(t, kind, 900, 2, 1024)
-			path := filepath.Join(dir, string(kind)+"-mut.idx")
+			path := filepath.Join(dir, string(kind)+".idx")
 			if err := Save(path, tree); err != nil {
 				t.Fatal(err)
+			}
+			digest := func() [sha256.Size]byte {
+				t.Helper()
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sha256.Sum256(b)
 			}
 			paged, store, err := OpenPaged(path, am.Options{AMAPSamples: 32}, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer store.Close()
+			q := geom.Vector{40, 60}
+			wantSum, wantLen, want := digest(), paged.Len(), knn(t, paged, q, 200, nil)
 
-			mutate := func(tr *gist.Tree) {
-				t.Helper()
-				for i := 0; i < 60; i++ {
-					p := gist.Point{Key: geom.Vector{float64(i) * 1.5, 101 + float64(i%7)}, RID: int64(50000 + i)}
-					if err := tr.Insert(p); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for i := 0; i < 150; i++ {
-					ok, err := tr.Delete(pts[i].Key, pts[i].RID)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !ok {
-						t.Fatalf("delete %d: point not found", i)
-					}
-				}
-				if err := tr.TightenPredicates(); err != nil {
-					t.Fatal(err)
-				}
+			if err := paged.Insert(gist.Point{Key: geom.Vector{1, 2}, RID: 50000}); !errors.Is(err, gist.ErrReadOnly) {
+				t.Errorf("Insert = %v, want ErrReadOnly", err)
 			}
-			mutate(tree)
-			mutate(paged)
-
-			if paged.Len() != tree.Len() {
-				t.Fatalf("len %d, in-memory %d", paged.Len(), tree.Len())
+			if ok, err := paged.Delete(pts[0].Key, pts[0].RID); ok || !errors.Is(err, gist.ErrReadOnly) {
+				t.Errorf("Delete = (%v, %v), want (false, ErrReadOnly)", ok, err)
 			}
-			if err := paged.CheckIntegrity(); err != nil {
-				t.Fatalf("integrity after mutation: %v", err)
-			}
-			if store.Dirty() == 0 {
-				t.Error("mutations produced no dirty nodes")
-			}
-			rng := rand.New(rand.NewSource(13))
-			for trial := 0; trial < 6; trial++ {
-				q := geom.Vector{rng.Float64() * 100, rng.Float64() * 100}
-				want := knn(t, tree, q, 40, nil)
-				got := knn(t, paged, q, 40, nil)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d: %d results, want %d", trial, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].RID != want[i].RID || got[i].Dist2 != want[i].Dist2 {
-						t.Fatalf("trial %d result %d: (%d, %v) want (%d, %v)",
-							trial, i, got[i].RID, got[i].Dist2, want[i].RID, want[i].Dist2)
-					}
-				}
+			if err := paged.TightenPredicates(); !errors.Is(err, gist.ErrReadOnly) {
+				t.Errorf("TightenPredicates = %v, want ErrReadOnly", err)
 			}
 
-			// The mutated paged tree persists and reloads cleanly.
-			out := filepath.Join(dir, string(kind)+"-resaved.idx")
-			if err := Save(out, paged); err != nil {
-				t.Fatal(err)
+			if digest() != wantSum {
+				t.Error("the index file changed")
 			}
-			reloaded, err := Load(out, am.Options{AMAPSamples: 32})
-			if err != nil {
-				t.Fatal(err)
+			if paged.Len() != wantLen {
+				t.Errorf("Len %d, want %d", paged.Len(), wantLen)
 			}
-			if reloaded.Len() != paged.Len() {
-				t.Fatalf("resaved len %d, want %d", reloaded.Len(), paged.Len())
+			got := knn(t, paged, q, 200, nil)
+			if len(got) != len(want) {
+				t.Fatalf("%d results, want %d", len(got), len(want))
 			}
-			if err := reloaded.CheckIntegrity(); err != nil {
-				t.Fatalf("resaved integrity: %v", err)
+			for i := range want {
+				if got[i].RID != want[i].RID || got[i].Dist2 != want[i].Dist2 || got[i].Leaf != want[i].Leaf {
+					t.Fatalf("result %d: %+v, want %+v", i, got[i], want[i])
+				}
+			}
+			if st := store.PoolStats(); st.Pinned != 0 {
+				t.Errorf("%d pages left pinned", st.Pinned)
 			}
 		})
-	}
-}
-
-// A freed page stays freed: deleting enough points to dissolve nodes must
-// make their old ids unpinnable, and the tree must never reference them.
-func TestPagedFreedPagesRejectPins(t *testing.T) {
-	tree, pts := buildTree(t, am.KindRTree, 600, 2, 1024)
-	path := filepath.Join(t.TempDir(), "free.idx")
-	if err := Save(path, tree); err != nil {
-		t.Fatal(err)
-	}
-	paged, store, err := OpenPaged(path, am.Options{}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	for i := 0; i < 550; i++ {
-		if _, err := paged.Delete(pts[i].Key, pts[i].RID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := paged.CheckIntegrity(); err != nil {
-		t.Fatalf("integrity after mass delete: %v", err)
-	}
-	if paged.Len() != 50 {
-		t.Fatalf("len %d, want 50", paged.Len())
 	}
 }
 

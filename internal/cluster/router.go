@@ -59,6 +59,7 @@ type Router struct {
 	man    *Manifest
 	part   Partitioner
 	shards [][]*member
+	all    []int // every shard index, the scatter's target list
 	health *healthTracker
 
 	mux   *http.ServeMux
@@ -68,6 +69,7 @@ type Router struct {
 	requests          atomic.Int64
 	queries           atomic.Int64
 	shardRequests     atomic.Int64
+	topUps            atomic.Int64
 	retries           atomic.Int64
 	hedges            atomic.Int64
 	failovers         atomic.Int64
@@ -130,6 +132,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	r.shards = make([][]*member, len(cfg.Manifest.Shards))
 	for si, s := range cfg.Manifest.Shards {
+		r.all = append(r.all, si)
 		ms := make([]*member, len(s.Members))
 		for mi, addr := range s.Members {
 			ms[mi] = &member{
@@ -335,26 +338,31 @@ func (r *Router) callShard(ctx context.Context, si int, path string, body []byte
 	return nil, lastErr
 }
 
-// scatter posts the encoded query body to path on every shard with
-// bounded concurrency and returns every shard's answer, or the first shard
-// failure in time: a k-NN answer missing a partition is not an answer, so
-// one dead partition fails the query (503 + Retry-After at the handler).
-// The first failure cancels the other shards' calls, so a stalled sibling
-// cannot hold a definitive answer back until its timeout, and their
-// cancellations cannot mask it.
+// scatter posts the encoded query body to path on every shard and returns
+// every shard's answer, or the first shard failure in time: a k-NN answer
+// missing a partition is not an answer, so one dead partition fails the
+// query (503 + Retry-After at the handler).
 func (r *Router) scatter(ctx context.Context, path string, body []byte) ([]*shardAnswer, error) {
 	r.queries.Add(1)
+	return r.gather(ctx, r.all, path, body)
+}
+
+// gather posts body to path on each listed shard with bounded concurrency.
+// The answers are indexed by shard; unlisted shards' entries are nil. The
+// first failure cancels the other calls, so a stalled sibling cannot hold a
+// definitive answer back until its timeout, and their cancellations cannot
+// mask it; every answer gathered is then released.
+func (r *Router) gather(ctx context.Context, shards []int, path string, body []byte) ([]*shardAnswer, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	n := len(r.shards)
-	answers := make([]*shardAnswer, n)
+	answers := make([]*shardAnswer, len(r.shards))
 	var (
 		once   sync.Once
 		failed error
 	)
 	sem := make(chan struct{}, r.cfg.MaxFanout)
 	var wg sync.WaitGroup
-	for si := 0; si < n; si++ {
+	for _, si := range shards {
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
@@ -381,6 +389,77 @@ func (r *Router) scatter(ctx context.Context, path string, body []byte) ([]*shar
 		return nil, failed
 	}
 	return answers, nil
+}
+
+// pushDownK is the k each shard is first asked for. A hash partition
+// spreads the global top k over s shards binomially: one shard's share has
+// mean k/s and standard deviation √(k·(1/s)·(1−1/s)), so k/s plus three
+// deviations covers all but ~0.1 % of shards, and topUp asks those again.
+// Refine requests (whose shards rank k × multiplier candidates) and space
+// partitions (where one slab usually holds the whole answer, so a top-up
+// would cost most queries a second round trip) get the client's k.
+func (r *Router) pushDownK(kreq *wire.KNNRequest) int {
+	s := float64(len(r.shards))
+	if kreq.Refine || r.man.Partition != PartitionHash || s < 2 {
+		return kreq.K
+	}
+	k := float64(kreq.K)
+	return min(kreq.K, int(math.Ceil(k/s+3*math.Sqrt(k*(1/s)*(1-1/s)))))
+}
+
+// kthDist2 is the k-th smallest Dist2 across the answers, +Inf when they
+// hold fewer than k neighbours.
+func kthDist2(answers []*shardAnswer, k int) float64 {
+	lists := make([][]wire.Span, len(answers))
+	n := 0
+	for i, a := range answers {
+		lists[i] = a.scan.Neighbors
+		n += len(lists[i])
+	}
+	if n < k {
+		return math.Inf(1)
+	}
+	var kth float64
+	mergeHeads(lists, k, spanLess, func(_ int, s wire.Span) { kth = s.Dist2 })
+	return kth
+}
+
+// topUp completes a pushed-down k-NN scatter in place. Each shard was asked
+// for sent ≤ kreq.K neighbours. One that returned fewer holds no more; one
+// whose last neighbour lies strictly beyond the merged k-th distance has
+// every unreturned neighbour beyond it too. Only the rest — a full answer
+// whose last Dist2 is at most the merged k-th, inclusive because an equal
+// distance still wins on a smaller RID — could hold a winner, and each is
+// asked again for the client's k through callShard, concurrently. Their new
+// answers replace the old, so the merge sees exactly what a full-k scatter
+// would have returned. On failure every answer is released.
+func (r *Router) topUp(ctx context.Context, answers []*shardAnswer, kreq *wire.KNNRequest, sent int) error {
+	kth := kthDist2(answers, kreq.K)
+	var need []int
+	for si, a := range answers {
+		if l := a.scan.Neighbors; len(l) >= sent && l[len(l)-1].Dist2 <= kth {
+			need = append(need, si)
+		}
+	}
+	if len(need) == 0 {
+		return nil
+	}
+	body, err := json.Marshal(kreq)
+	if err != nil {
+		release(answers)
+		return err
+	}
+	r.topUps.Add(int64(len(need)))
+	fresh, err := r.gather(ctx, need, "/v1/knn", body)
+	if err != nil {
+		release(answers)
+		return err
+	}
+	for _, si := range need {
+		answerPool.Put(answers[si])
+		answers[si] = fresh[si]
+	}
+	return nil
 }
 
 // release returns answers to their pool.
@@ -426,13 +505,20 @@ func (r *Router) handleKNN(w http.ResponseWriter, req *http.Request) int {
 	if kreq.K <= 0 || kreq.K > r.cfg.MaxK {
 		return wire.WriteError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", r.cfg.MaxK, kreq.K)
 	}
-	body, err := json.Marshal(kreq)
+	sreq := kreq
+	sreq.K = r.pushDownK(&kreq)
+	body, err := json.Marshal(sreq)
 	if err != nil {
 		return wire.WriteError(w, http.StatusInternalServerError, "encode shard request: %v", err)
 	}
 	answers, err := r.scatter(req.Context(), "/v1/knn", body)
 	if err != nil {
 		return wire.WriteError(w, shardErrStatus(err), "knn scatter: %v", err)
+	}
+	if sreq.K < kreq.K {
+		if err := r.topUp(req.Context(), answers, &kreq, sreq.K); err != nil {
+			return wire.WriteError(w, shardErrStatus(err), "knn top-up: %v", err)
+		}
 	}
 	multiplier := 0
 	for _, a := range answers {
@@ -577,8 +663,13 @@ type ShardStats struct {
 type FanoutStats struct {
 	// Queries is the number of scatter-gathered searches.
 	Queries int64 `json:"queries"`
-	// ShardRequests is the total member attempts issued (≥ Queries × shards).
+	// ShardRequests is the total member attempts issued, top-ups and their
+	// retries and hedges included (≥ Queries × shards).
 	ShardRequests int64 `json:"shard_requests"`
+	// TopUps counts the shard calls that completed a pushed-down k-NN: a
+	// hash shard first asked for about k/s neighbours whose answer could
+	// still hold a winner is asked again for the client's k.
+	TopUps int64 `json:"top_ups"`
 	// Retries counts failure-driven extra attempts, Hedges latency-driven
 	// ones, Failovers successes served by a non-primary member.
 	Retries   int64 `json:"retries"`
@@ -632,6 +723,7 @@ func (r *Router) Stats() RouterStats {
 		Fanout: FanoutStats{
 			Queries:           r.queries.Load(),
 			ShardRequests:     r.shardRequests.Load(),
+			TopUps:            r.topUps.Load(),
 			Retries:           r.retries.Load(),
 			Hedges:            r.hedges.Load(),
 			Failovers:         r.failovers.Load(),

@@ -96,10 +96,14 @@ func cannedShard(t *testing.T, body []byte) string {
 }
 
 // cannedRouter mounts a Router over shards given as member lists, primary
-// first, and returns it with the URL of its HTTP face.
+// first, and returns it with the URL of its HTTP face. The 5-d manifest is
+// hash partitioned unless cfg.Manifest sets the scheme.
 func cannedRouter(t *testing.T, cfg Config, shards ...[]string) (*Router, string) {
 	t.Helper()
-	cfg.Manifest = &Manifest{Partition: PartitionHash, Method: "xjb", Dim: 5}
+	if cfg.Manifest == nil {
+		cfg.Manifest = &Manifest{Partition: PartitionHash}
+	}
+	cfg.Manifest.Method, cfg.Manifest.Dim = "xjb", 5
 	for i, members := range shards {
 		cfg.Manifest.Shards = append(cfg.Manifest.Shards, Shard{ID: i, Members: members})
 	}
@@ -282,53 +286,56 @@ func TestScatterFailsFastPastStalledShard(t *testing.T) {
 	}
 }
 
-// BenchmarkRouterMerge is the router's per-query merge work for three
-// 200-neighbour shard answers: scanning the bodies and copying the winning
-// spans, against decoding them, Merge, and encoding the result.
+// BenchmarkRouterMerge is the router's per-query merge work for three shard
+// answers of 200 neighbours (a full-k scatter at k = 200) and of 87 (the
+// pushed-down k for three hash shards): scanning the bodies and copying the
+// winning spans, against decoding them, Merge, and encoding the result.
 func BenchmarkRouterMerge(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	bodies := make([][]byte, 3)
-	for i := range bodies {
-		r := wire.SearchResponse{Neighbors: make([]wire.Neighbor, 200)}
-		for j := range r.Neighbors {
-			d2 := rng.Float64() * 0.3
-			r.Neighbors[j] = wire.Neighbor{RID: int64(rng.Intn(210000)), Dist: math.Sqrt(d2), Dist2: d2}
-		}
-		sort.Slice(r.Neighbors, func(x, y int) bool { return neighborLess(r.Neighbors[x], r.Neighbors[y]) })
-		var err error
-		if bodies[i], err = wire.AppendSearchResponse(nil, &r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("scan", func(b *testing.B) {
-		lists := make([][]wire.Span, len(bodies))
-		var out []byte
-		b.ReportAllocs()
-		for b.Loop() {
-			for i, body := range bodies {
-				sc, err := wire.ScanSearchResponse(body, lists[i])
-				if err != nil {
-					b.Fatal(err)
-				}
-				lists[i] = sc.Neighbors
+	for _, n := range []int{200, 87} {
+		rng := rand.New(rand.NewSource(1))
+		bodies := make([][]byte, 3)
+		for i := range bodies {
+			r := wire.SearchResponse{Neighbors: make([]wire.Neighbor, n)}
+			for j := range r.Neighbors {
+				d2 := rng.Float64() * 0.3
+				r.Neighbors[j] = wire.Neighbor{RID: int64(rng.Intn(210000)), Dist: math.Sqrt(d2), Dist2: d2}
 			}
-			out = mergeSpans(out[:0], bodies, lists, 200)
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for b.Loop() {
-			lists := make([][]wire.Neighbor, len(bodies))
-			for i, body := range bodies {
-				var r wire.SearchResponse
-				if err := json.NewDecoder(bytes.NewReader(body)).Decode(&r); err != nil {
-					b.Fatal(err)
-				}
-				lists[i] = r.Neighbors
-			}
-			if _, err := wire.AppendSearchResponse(nil, &wire.SearchResponse{Neighbors: Merge(lists, 200)}); err != nil {
+			sort.Slice(r.Neighbors, func(x, y int) bool { return neighborLess(r.Neighbors[x], r.Neighbors[y]) })
+			var err error
+			if bodies[i], err = wire.AppendSearchResponse(nil, &r); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
+		b.Run(fmt.Sprintf("3x%d/scan", n), func(b *testing.B) {
+			lists := make([][]wire.Span, len(bodies))
+			var out []byte
+			b.ReportAllocs()
+			for b.Loop() {
+				for i, body := range bodies {
+					sc, err := wire.ScanSearchResponse(body, lists[i])
+					if err != nil {
+						b.Fatal(err)
+					}
+					lists[i] = sc.Neighbors
+				}
+				out = mergeSpans(out[:0], bodies, lists, 200)
+			}
+		})
+		b.Run(fmt.Sprintf("3x%d/decode", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				lists := make([][]wire.Neighbor, len(bodies))
+				for i, body := range bodies {
+					var r wire.SearchResponse
+					if err := json.NewDecoder(bytes.NewReader(body)).Decode(&r); err != nil {
+						b.Fatal(err)
+					}
+					lists[i] = r.Neighbors
+				}
+				if _, err := wire.AppendSearchResponse(nil, &wire.SearchResponse{Neighbors: Merge(lists, 200)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -24,18 +24,26 @@ type testCluster struct {
 	oracle  *blobindex.Index
 	shards  []*blobindex.Index // shard i's index (primary and replica serve it)
 	daemons [][]*httptest.Server
+	logs    [][]*reqLog // the search requests each daemon received
 	man     *Manifest
 	router  *Router
 	front   *httptest.Server // the router's own HTTP face
 	cli     *apiclient.Client
 }
 
-// newTestCluster partitions a corpus across nShards in-process daemons,
-// giving shard 0 a replica, and mounts a Router over them.
+// newTestCluster partitions clusterCorpus across nShards in-process
+// daemons, giving shard 0 a replica, and mounts a Router over them.
 func newTestCluster(t *testing.T, nShards int, cfg Config) *testCluster {
 	t.Helper()
+	pts, _ := clusterCorpus(1200, 5, 42)
+	return newTestClusterOf(t, pts, nShards, cfg)
+}
+
+// newTestClusterOf is newTestCluster over the 5-d points pts, hash
+// partitioned with seed 7.
+func newTestClusterOf(t *testing.T, pts []blobindex.Point, nShards int, cfg Config) *testCluster {
+	t.Helper()
 	const dim = 5
-	pts, _ := clusterCorpus(1200, dim, 42)
 	opts := blobindex.Options{Method: blobindex.XJB, Dim: dim, Seed: 1}
 	oracle, err := blobindex.Build(pts, opts)
 	if err != nil {
@@ -57,17 +65,21 @@ func newTestCluster(t *testing.T, nShards int, cfg Config) *testCluster {
 			members = 2 // shard 0 gets a replica serving the same index
 		}
 		var row []*httptest.Server
+		var logs []*reqLog
 		for m := 0; m < members; m++ {
 			srv, err := server.New(server.Config{Index: idx, CacheEntries: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			hs := httptest.NewServer(srv.Handler())
+			log := &reqLog{h: srv.Handler()}
+			hs := httptest.NewServer(log)
 			t.Cleanup(hs.Close)
 			row = append(row, hs)
+			logs = append(logs, log)
 			man.Shards[i].Members = append(man.Shards[i].Members, hs.URL)
 		}
 		tc.daemons = append(tc.daemons, row)
+		tc.logs = append(tc.logs, logs)
 	}
 	cfg.Manifest = man
 	if cfg.HealthInterval == 0 {

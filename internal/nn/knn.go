@@ -23,15 +23,16 @@ import (
 // improving point sifts 12-byte lanes (distance + result index, with the
 // Result payload written once into an append-only buffer).
 //
-// Equivalence with the single-queue search: nodes expand in exactly the old
-// relative order — (MinDist2, seq) with seq assigned in expansion order —
-// because point items never reorder node items. A subtree is expanded iff
-// its MinDist2 beats the current k-th best distance strictly; ties lose,
-// matching the old points-before-nodes pop order. The output is the k
-// smallest (distance, discovery order) pairs — precisely the first k points
-// the old search popped — emitted in the same ascending order. Dropped
-// points (distance >= the full heap's root) can never be among those k: the
-// root only shrinks, and a tie loses to the earlier-discovered incumbent.
+// The output is the k smallest (distance, RID) pairs in that order — the
+// (Dist2, RID) total order every tier above sorts by, so a point set split
+// across segments or shards merges back to exactly this answer even under
+// exact distance ties. A tie is broken, not dropped: a point whose
+// distance equals the k-th best displaces it when its RID is smaller, and a
+// subtree whose MinDist2 equals the k-th best distance is still expanded,
+// since it may hold such a point. Only strictly farther subtrees and points
+// are provably out. On continuously distributed data exact ties do not occur
+// and the search visits exactly the nodes the classic single-queue search
+// visits, in the same (MinDist2, seq) order.
 type knnSearch struct {
 	tree  *gist.Tree
 	store gist.NodeStore
@@ -45,9 +46,8 @@ type knnSearch struct {
 	seq   int32
 	dists []float64
 
-	// The bound heap: parallel lanes keyed by (hd desc, hidx desc), hidx
-	// pointing into the append-only res buffer. res grows only on insertion,
-	// so an entry's res index doubles as its discovery order.
+	// The bound heap: parallel lanes keyed by (hd desc, RID desc), hidx
+	// pointing into the append-only res buffer that holds each entry's RID.
 	hd     []float64
 	hidx   []int32
 	res    []Result
@@ -121,13 +121,13 @@ func (q *npq) pop() nodeItem {
 	return top
 }
 
-// knnPair is emit's sort element: one kept neighbor's distance and res
-// index. Sorting these 16-byte pairs with the specialized introsort beats
-// both a heap drain and an index sort that chases res entries on every
-// compare.
+// knnPair is emit's sort element: one kept neighbor's distance, RID and res
+// index. Sorting these small pairs with the specialized introsort beats both
+// a heap drain and an index sort that chases res entries on every compare.
 type knnPair struct {
-	d  float64
-	ix int32
+	d   float64
+	rid int64
+	ix  int32
 }
 
 func (s *knnSearch) full() bool { return len(s.hd) == s.k }
@@ -144,12 +144,12 @@ func (s *knnSearch) canceled() bool {
 }
 
 // worse reports whether heap entry i ranks behind entry j — farther, or as
-// far but discovered later.
+// far with a larger RID. The RID lookup runs only on an exact distance tie.
 func (s *knnSearch) worse(i, j int) bool {
 	if s.hd[i] != s.hd[j] {
 		return s.hd[i] > s.hd[j]
 	}
-	return s.hidx[i] > s.hidx[j]
+	return s.res[s.hidx[i]].RID > s.res[s.hidx[j]].RID
 }
 
 func (s *knnSearch) swap(i, j int) {
@@ -196,8 +196,8 @@ func (s *knnSearch) replaceRoot(d float64, ix int32) {
 // offer folds one scored leaf point into the bound heap.
 func (s *knnSearch) offer(d float64, n *gist.Node, i int) {
 	if len(s.hd) == s.k {
-		if d >= s.hd[0] {
-			return // ties lose to the earlier-discovered incumbent
+		if d > s.hd[0] || d == s.hd[0] && n.LeafRID(i) >= s.res[s.hidx[0]].RID {
+			return // behind the k-th best in (Dist2, RID) order
 		}
 		s.res = append(s.res, Result{RID: n.LeafRID(i), Key: n.LeafKey(i), Dist2: d, Leaf: n.ID()})
 		s.replaceRoot(d, int32(len(s.res)-1))
@@ -229,10 +229,11 @@ func (s *knnSearch) expand(top nodeItem) bool {
 		s.dists = geom.Dist2FlatBlock(s.query, flat[:n.NumEntries()*d], d, s.dists[:0])
 		if len(s.hd) == s.k {
 			// Hot path: the heap is full, so almost every point loses to
-			// the k-th best with one compare, no call.
+			// the k-th best with one compare, no call; an exact tie goes to
+			// offer, which breaks it by RID.
 			bound := s.hd[0]
 			for i, dist := range s.dists {
-				if dist >= bound {
+				if dist > bound {
 					continue
 				}
 				s.offer(dist, n, i)
@@ -247,7 +248,7 @@ func (s *knnSearch) expand(top nodeItem) bool {
 		ext := s.tree.Ext()
 		for i := 0; i < n.NumEntries(); i++ {
 			m := ext.MinDist2(n.ChildPred(i), s.query)
-			if s.full() && m >= s.hd[0] {
+			if s.full() && m > s.hd[0] {
 				continue // provably beyond the k-th best
 			}
 			s.queue.push(nodeItem{d: m, child: n.ChildID(i), seq: s.seq})
@@ -270,8 +271,8 @@ func (s *knnSearch) run(root page.PageID) {
 			return
 		}
 		top := s.queue.pop()
-		if s.full() && top.d >= s.hd[0] {
-			return // frontier minimum cannot beat the k-th best: done
+		if s.full() && top.d > s.hd[0] {
+			return // frontier minimum cannot reach the k-th best: done
 		}
 		if !s.expand(top) {
 			return
@@ -279,14 +280,14 @@ func (s *knnSearch) run(root page.PageID) {
 	}
 }
 
-// emit appends the kept neighbors to dst in ascending (distance, discovery)
-// order. Sorting (distance, index) pairs is cheaper than a heap drain —
-// one sort beats k log k multi-lane sifts — and the res index order is the
-// discovery order.
+// emit appends the kept neighbors to dst in ascending (distance, RID)
+// order. Sorting (distance, RID, index) pairs is cheaper than a heap drain:
+// one sort beats k log k multi-lane sifts.
 func (s *knnSearch) emit(dst []Result) []Result {
 	ps := s.pairs[:0]
 	for i, d := range s.hd {
-		ps = append(ps, knnPair{d: d, ix: s.hidx[i]})
+		ix := s.hidx[i]
+		ps = append(ps, knnPair{d: d, rid: s.res[ix].RID, ix: ix})
 	}
 	if cap(s.pairs2) < len(ps) {
 		s.pairs2 = make([]knnPair, len(ps))

@@ -80,8 +80,10 @@ type pq []item
 
 // SearchCtxInto appends the k nearest neighbors of q in the tree to dst,
 // nearest first; fewer than k when the tree holds fewer points. The engine
-// is the two-heap bounded best-first search of knn.go, output-identical to
-// the incremental Iterator but without per-point priority-queue traffic.
+// is the two-heap bounded best-first search of knn.go: the incremental
+// Iterator's distances without its per-point priority-queue traffic, with
+// exact distance ties ordered by RID (the Iterator yields them in discovery
+// order).
 // See the package documentation for the dst, trace and ctx contract.
 func SearchCtxInto(ctx context.Context, t *gist.Tree, q geom.Vector, k int, trace *gist.Trace, dst []Result) ([]Result, error) {
 	base := len(dst)
@@ -117,7 +119,8 @@ func ctxErr(ctx context.Context) error {
 }
 
 // BruteForce returns the exact k nearest neighbors by scanning the given
-// points; it is the oracle the tests and the recall experiments compare
+// points — the k smallest in (Dist2, RID) order, as SearchCtxInto returns
+// them; it is the oracle the tests and the recall experiments compare
 // index results against, and doubles as the "sequential scan of the flat
 // file" baseline of paper §3.2.
 func BruteForce(pts []gist.Point, q geom.Vector, k int) []Result {
@@ -126,16 +129,16 @@ func BruteForce(pts []gist.Point, q geom.Vector, k int) []Result {
 	}
 	// Keep the k best in a max-heap of size k.
 	best := make([]Result, 0, k)
-	worst := func() float64 { return best[0].Dist2 }
+	behind := func(a, b Result) bool { return compareResults(a, b) > 0 }
 	down := func() {
 		i := 0
 		for {
 			l, r := 2*i+1, 2*i+2
 			big := i
-			if l < len(best) && best[l].Dist2 > best[big].Dist2 {
+			if l < len(best) && behind(best[l], best[big]) {
 				big = l
 			}
-			if r < len(best) && best[r].Dist2 > best[big].Dist2 {
+			if r < len(best) && behind(best[r], best[big]) {
 				big = r
 			}
 			if big == i {
@@ -149,7 +152,7 @@ func BruteForce(pts []gist.Point, q geom.Vector, k int) []Result {
 		i := len(best) - 1
 		for i > 0 {
 			p := (i - 1) / 2
-			if best[p].Dist2 >= best[i].Dist2 {
+			if !behind(best[i], best[p]) {
 				return
 			}
 			best[p], best[i] = best[i], best[p]
@@ -157,17 +160,16 @@ func BruteForce(pts []gist.Point, q geom.Vector, k int) []Result {
 		}
 	}
 	for _, p := range pts {
-		d := q.Dist2(p.Key)
+		r := Result{RID: p.RID, Key: p.Key, Dist2: q.Dist2(p.Key)}
 		if len(best) < k {
-			best = append(best, Result{RID: p.RID, Key: p.Key, Dist2: d})
+			best = append(best, r)
 			up()
-		} else if d < worst() {
-			best[0] = Result{RID: p.RID, Key: p.Key, Dist2: d}
+		} else if behind(best[0], r) {
+			best[0] = r
 			down()
 		}
 	}
-	// Sort ascending by distance (the heap is max-first), breaking distance
-	// ties by RID for determinism.
+	// Sort ascending (the heap is max-first).
 	out := make([]Result, len(best))
 	copy(out, best)
 	slices.SortFunc(out, compareResults)

@@ -239,3 +239,41 @@ func TestJBSelectivityVsRTree(t *testing.T) {
 		t.Errorf("JB accessed %d leaves, R-tree %d; JB should not be worse", jbLeaves, rtLeaves)
 	}
 }
+
+// On a coarse integer grid distances tie exactly at almost every k. Every
+// access method must then return exactly BruteForce's answer: the k smallest
+// (Dist2, RID) pairs, RID for RID — the order the segment stack and the
+// router merge by.
+func TestSearchTiesBreakByRID(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	pts := make([]gist.Point, 3000)
+	for i := range pts {
+		v := make(geom.Vector, 3)
+		for d := range v {
+			v[d] = float64(rng.Intn(12))
+		}
+		pts[i] = gist.Point{Key: v, RID: int64(i)}
+	}
+	for _, kind := range am.Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			tree := buildTree(t, kind, pts, 3)
+			for trial := 0; trial < 20; trial++ {
+				q := pts[rng.Intn(len(pts))].Key.Clone()
+				q[trial%3] += 0.5
+				for _, k := range []int{1, 13, 37, 150} {
+					got := search(t, SearchCtxInto, tree, q, k, nil)
+					want := BruteForce(pts, q, k)
+					if len(got) != len(want) {
+						t.Fatalf("k=%d: %d results, want %d", k, len(got), len(want))
+					}
+					for i := range got {
+						if got[i].RID != want[i].RID || got[i].Dist2 != want[i].Dist2 {
+							t.Fatalf("k=%d: result %d = (%d, %v), want (%d, %v)",
+								k, i, got[i].RID, got[i].Dist2, want[i].RID, want[i].Dist2)
+						}
+					}
+				}
+			}
+		})
+	}
+}

@@ -9,7 +9,7 @@ import "math"
 // median-of-three quicksort, insertion sort below a small cutoff, and a
 // heapsort fallback past 2·log₂(n) recursion depth so pathological inputs
 // stay O(n log n). Every phase is deterministic, and both orderings are
-// strict total orders (res indices and RIDs are unique), so the output
+// strict total orders (RIDs are unique within a result set), so the output
 // order is reproducible and independent of the partitioning path.
 
 const sortCutoff = 12
@@ -18,10 +18,10 @@ func pairLess(a, b knnPair) bool {
 	if a.d != b.d {
 		return a.d < b.d
 	}
-	return a.ix < b.ix
+	return a.rid < b.rid
 }
 
-// bucketSortPairs orders ps ascending by (d, ix) using tmp (same length) as
+// bucketSortPairs orders ps ascending by (d, rid) using tmp (same length) as
 // scatter space. Distances are spread over 256 buckets by linear scale in
 // one counting pass; after the scatter the slice holds at most a handful of
 // inversions per bucket, and the final insertion pass enforces the exact

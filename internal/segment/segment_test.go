@@ -229,3 +229,54 @@ func TestCollectPointsMasking(t *testing.T) {
 		t.Fatalf("harvest with stale tombstone has %d points, want 3", len(kept))
 	}
 }
+
+// gridPoints places n points on the integer grid {0..side-1}^dim, so
+// distances repeat and many neighbours tie exactly at every k.
+func gridPoints(rng *rand.Rand, n, dim, side int) []gist.Point {
+	pts := make([]gist.Point, n)
+	for i := range pts {
+		v := make(geom.Vector, dim)
+		for d := range v {
+			v[d] = float64(rng.Intn(side))
+		}
+		pts[i] = gist.Point{Key: v, RID: int64(i)}
+	}
+	return pts
+}
+
+// Exact distance ties must break by RID in every tier: a one-segment stack
+// (the engine's own order) and a two-segment stack (the (Dist2, RID) merge)
+// over the same tie-heavy points return the same sequence.
+func TestStackTiesBreakByRID(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const dim = 5
+	all := gridPoints(rng, 3000, dim, 6)
+	one := NewStack([]Segment{WrapMem(buildTree(t, all, dim), 1)}, nil)
+	defer one.Close()
+	var even, odd []gist.Point
+	for _, p := range all {
+		if p.RID%2 == 0 {
+			even = append(even, p)
+		} else {
+			odd = append(odd, p)
+		}
+	}
+	two := NewStack([]Segment{WrapMem(buildTree(t, even, dim), 1), WrapMem(buildTree(t, odd, dim), 2)}, nil)
+	defer two.Close()
+	ctx := context.Background()
+	for trial := 0; trial < 30; trial++ {
+		q := all[rng.Intn(len(all))].Key.Clone()
+		q[trial%dim] += 0.5
+		for _, k := range []int{1, 7, 37, 200} {
+			want, err := one.SearchKNN(ctx, q, k, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := two.SearchKNN(ctx, q, k, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, got, want, "two segments vs one")
+		}
+	}
+}

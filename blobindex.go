@@ -682,16 +682,8 @@ type BufferStats struct {
 	Evictions int64 // pages evicted to make room
 	Retries   int64 // page re-reads after a transient failure
 	GaveUp    int64 // page loads that exhausted the retry budget
-	// Prefetch counters of the descent load-ahead: pages read in the
-	// background before a traversal asked for them, how many of those a
-	// query then used (also counted in Misses — the read happened on that
-	// access's behalf, merely early), and how many were wasted (evicted
-	// unused or duplicating a demand read).
-	Prefetched     int64
-	PrefetchHits   int64
-	PrefetchWasted int64
-	Resident       int // pages currently held
-	Capacity       int // pool frame budget
+	Resident  int   // pages currently held
+	Capacity  int   // pool frame budget
 }
 
 // BufferStats returns the buffer pool counters of a demand-paged index,
@@ -709,9 +701,6 @@ func (ix *Index) BufferStats() (s BufferStats, ok bool) {
 		s.Evictions += ps.Evictions
 		s.Retries += ps.Retries
 		s.GaveUp += ps.GaveUp
-		s.Prefetched += ps.Prefetched
-		s.PrefetchHits += ps.PrefetchHits
-		s.PrefetchWasted += ps.PrefetchWasted
 		s.Resident += ps.Resident
 		s.Capacity += ps.Capacity
 		ok = true

@@ -185,8 +185,11 @@ func Chaos(s *Scenario, kinds []am.Kind, configs []ChaosFaults) (*ChaosResult, e
 				fail("%s at %+v: %d successful queries diverged from the fault-free baseline",
 					kind, cfg, row.Mismatched)
 			}
-			if cfg.Transient > 0 && row.Retries == 0 {
-				fail("%s at %+v: transient faults injected but the store never retried", kind, cfg)
+			// Reads happen only on a Pin's behalf, so each injected
+			// transient or torn read is either retried or given up on.
+			if inj := row.Injected.Transient + row.Injected.Torn; row.Retries+row.GaveUp != inj {
+				fail("%s at %+v: %d retries + %d gave up for %d injected transient or torn reads",
+					kind, cfg, row.Retries, row.GaveUp, inj)
 			}
 			if cfg.Corrupt == 0 && row.FailedCorrupt+row.FailedOther > 0 {
 				fail("%s at %+v: %d queries failed outside the transient class with no corruption injected",

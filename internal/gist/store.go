@@ -50,16 +50,6 @@ type StatsProvider interface {
 	PoolStats() page.PoolStats
 }
 
-// Prefetcher is optionally implemented by stores that can warm pages
-// asynchronously. Prefetch hints that id will likely be pinned soon; the
-// store may start loading it in the background so a later Pin finds it
-// resident. It is purely advisory: it never blocks, never reports errors,
-// and dropping the hint is always correct. Callers (the nn descents) probe
-// for it with a type assertion, so memory-resident stores pay nothing.
-type Prefetcher interface {
-	Prefetch(id page.PageID)
-}
-
 // MemStore keeps every node in memory, indexed by page id — the storage
 // layer of freshly built trees and the only one a tree mutates. Pin is a
 // bounds-checked slice index and Unpin is a no-op, so the query hot path over

@@ -33,7 +33,6 @@ func SearchApproxCtxInto(ctx context.Context, t *gist.Tree, q geom.Vector, k int
 	t.RLock()
 	defer t.RUnlock()
 	store := t.Store()
-	pf, _ := store.(gist.Prefetcher)
 	sc := getScratch()
 	queue := sc.nqueue
 	seq := int32(1)
@@ -72,13 +71,6 @@ func SearchApproxCtxInto(ctx context.Context, t *gist.Tree, q geom.Vector, k int
 			seq++
 		}
 		store.Unpin(n)
-		if pf != nil {
-			// Warm the frontier entries likeliest to be popped next; the
-			// harvest pins every popped page, so overlap pays directly.
-			for i := 1; i < len(queue) && i <= prefetchWidth; i++ {
-				pf.Prefetch(queue[i].child)
-			}
-		}
 	}
 	sc.nqueue = queue
 	sc.release()

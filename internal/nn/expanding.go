@@ -224,7 +224,6 @@ func sortResults(out []Result) {
 func rangeHarvest(ctx context.Context, t *gist.Tree, root page.PageID, q geom.Vector, radius2 float64, trace *gist.Trace, out *[]Result, sc *searchScratch) error {
 	ext := t.Ext()
 	store := t.Store()
-	pf, _ := store.(gist.Prefetcher)
 	stack := append(sc.stack[:0], root)
 	for len(stack) > 0 {
 		if err := ctxErr(ctx); err != nil {
@@ -259,13 +258,6 @@ func rangeHarvest(ctx context.Context, t *gist.Tree, root page.PageID, q geom.Ve
 			}
 		}
 		store.Unpin(n)
-		if pf != nil {
-			// Warm the pages just below the descent top (the top itself is
-			// popped and pinned immediately after this iteration).
-			for i, hints := len(stack)-2, 0; i >= 0 && hints < prefetchWidth; i, hints = i-1, hints+1 {
-				pf.Prefetch(stack[i])
-			}
-		}
 	}
 	sc.stack = stack
 	return nil

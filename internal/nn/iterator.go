@@ -32,15 +32,8 @@ type Iterator struct {
 	err   error           // sticky ctx or store error once failed
 	queue pq
 	seq   int
-	dists []float64       // whole-leaf block-scoring scratch
-	pf    gist.Prefetcher // non-nil when the store can warm pages ahead
+	dists []float64 // whole-leaf block-scoring scratch
 }
-
-// prefetchWidth is how many frontier entries past the immediate top get a
-// page-warming hint after each expansion. The top itself is excluded — it
-// is about to be pinned synchronously, so a concurrent prefetch would only
-// duplicate the read.
-const prefetchWidth = 3
 
 // NewIterator starts an incremental nearest-neighbor scan from q. If trace
 // is non-nil every page read is recorded as the iteration proceeds. Once ctx
@@ -48,7 +41,6 @@ const prefetchWidth = 3
 // means no cancellation.
 func NewIterator(ctx context.Context, t *gist.Tree, q geom.Vector, trace *gist.Trace) *Iterator {
 	it := &Iterator{tree: t, store: t.Store(), query: q, trace: trace, ctx: ctx}
-	it.pf, _ = it.store.(gist.Prefetcher)
 	if t.Len() > 0 {
 		t.RLock()
 		it.push(item{dist2: 0, child: t.RootID(), isNode: true})
@@ -80,18 +72,6 @@ func (it *Iterator) canceled() bool {
 		return true
 	}
 	return false
-}
-
-// prefetchFrontier hints the store at the node pages nearest the top of the
-// frontier, so a demand-paged descent overlaps the next reads with the
-// current expansion's compute.
-func (it *Iterator) prefetchFrontier() {
-	q := it.queue
-	for i := 1; i < len(q) && i <= prefetchWidth; i++ {
-		if q[i].isNode {
-			it.pf.Prefetch(q[i].child)
-		}
-	}
 }
 
 // expand pins the page behind top, records the access, and pushes the
@@ -127,9 +107,6 @@ func (it *Iterator) expand(top item) bool {
 		}
 	}
 	it.store.Unpin(n)
-	if it.pf != nil {
-		it.prefetchFrontier()
-	}
 	return true
 }
 

@@ -40,7 +40,6 @@ type knnSearch struct {
 	trace *gist.Trace
 	ctx   context.Context
 	err   error
-	pf    gist.Prefetcher
 	k     int
 	queue npq
 	seq   int32
@@ -209,13 +208,6 @@ func (s *knnSearch) offer(d float64, n *gist.Node, i int) {
 	s.siftUp(len(s.hd) - 1)
 }
 
-func (s *knnSearch) prefetchFrontier() {
-	q := s.queue
-	for i := 1; i < len(q) && i <= prefetchWidth; i++ {
-		s.pf.Prefetch(q[i].child)
-	}
-}
-
 // expand pins one subtree root, scores its contents, and releases the pin.
 func (s *knnSearch) expand(top nodeItem) bool {
 	n, err := s.store.Pin(top.child)
@@ -256,9 +248,6 @@ func (s *knnSearch) expand(top nodeItem) bool {
 		}
 	}
 	s.store.Unpin(n)
-	if s.pf != nil {
-		s.prefetchFrontier()
-	}
 	return true
 }
 

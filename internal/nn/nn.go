@@ -96,7 +96,6 @@ func SearchCtxInto(ctx context.Context, t *gist.Tree, q geom.Vector, k int, trac
 	s := knnSearch{tree: t, store: t.Store(), query: q, trace: trace, ctx: ctx, k: k,
 		queue: sc.nqueue, dists: sc.dists, pairs: sc.pairs, pairs2: sc.pairs2,
 		hd: sc.bound[:0], hidx: sc.kidx[:0], res: sc.results[:0]}
-	s.pf, _ = s.store.(gist.Prefetcher)
 	s.run(t.RootID())
 	if s.err == nil {
 		dst = s.emit(dst)

@@ -3,28 +3,18 @@ package page
 import "sync"
 
 // PoolStats is a snapshot of a PinnedPool's traffic counters and occupancy.
-// Retries and GaveUp are zero for the pool itself; file-backed stores that
-// retry transient page reads (pagefile.Store) fill them in when reporting
-// their stats through this type.
+// Pages enter the pool only through a Pin's miss, so Misses equals the
+// real page reads the access pattern caused — the number the pagedio
+// cross-check compares with the amdb simulation's I/Os. Retries and GaveUp
+// are zero for the pool itself; file-backed stores that retry transient
+// page reads (pagefile.Store) fill them in when reporting their stats
+// through this type.
 type PoolStats struct {
-	Hits      int64 // accesses served from a frame a real Pin loaded
-	Misses    int64 // accesses whose page load happened on their behalf (see below)
+	Hits      int64 // accesses served from a resident frame
+	Misses    int64 // accesses that had to load the page: one real read each
 	Evictions int64 // frames evicted to make room (EvictAll is not counted)
 	Retries   int64 // page re-reads after a transient failure (store-level)
 	GaveUp    int64 // loads that exhausted the retry budget (store-level)
-
-	// Prefetch accounting. Prefetched counts pages the store's prefetcher
-	// loaded ahead of use; PrefetchHits counts the first Pin that claimed
-	// such a frame; PrefetchWasted counts prefetched loads that never paid
-	// off (the frame was evicted unused, or the load duplicated one already
-	// resident or in flight). A prefetch-hit Pin is counted in Misses, not
-	// Hits: the physical read really happened on that access's behalf, it
-	// was merely issued early — which is what keeps Misses equal to real
-	// page reads attributable to the access pattern, the invariant the
-	// pagedio cross-check against the amdb simulation relies on.
-	Prefetched     int64
-	PrefetchHits   int64
-	PrefetchWasted int64
 
 	Resident int // frames currently held (pinned + unpinned)
 	Pinned   int // frames with a positive pin count
@@ -38,9 +28,6 @@ func (s PoolStats) Sub(before PoolStats) PoolStats {
 	s.Evictions -= before.Evictions
 	s.Retries -= before.Retries
 	s.GaveUp -= before.GaveUp
-	s.Prefetched -= before.Prefetched
-	s.PrefetchHits -= before.PrefetchHits
-	s.PrefetchWasted -= before.PrefetchWasted
 	return s
 }
 
@@ -71,8 +58,7 @@ type PinnedPool struct {
 	pinned   int
 	onEvict  func(v any)
 
-	hits, misses, evictions               int64
-	prefetched, prefetchHits, prefetchBad int64
+	hits, misses, evictions int64
 }
 
 // pframe is one resident frame. The LRU links are intrusive — a frame is
@@ -81,7 +67,6 @@ type pframe struct {
 	id         PageID
 	v          any
 	pins       int
-	prefetched bool    // loaded ahead of use and not yet claimed by a Pin
 	prev, next *pframe // ring position while unpinned, nil while pinned
 }
 
@@ -152,9 +137,6 @@ func (p *PinnedPool) newFrame(id PageID, v any) *pframe {
 // chain.
 func (p *PinnedPool) dropLocked(fr *pframe) {
 	delete(p.frames, fr.id)
-	if fr.prefetched {
-		p.prefetchBad++
-	}
 	if p.onEvict != nil {
 		p.onEvict(fr.v)
 	}
@@ -165,37 +147,20 @@ func (p *PinnedPool) dropLocked(fr *pframe) {
 // Pin returns the resident value for id, pinned, or ok == false on a miss.
 // After a miss the caller must load the page and register it with Insert.
 func (p *PinnedPool) Pin(id PageID) (v any, ok bool) {
-	v, ok, _ = p.PinTracked(id)
-	return v, ok
-}
-
-// PinTracked is Pin reporting additionally whether this access is the first
-// to claim a prefetched frame. Such an access counts as a miss plus a
-// prefetch hit (see PoolStats), and the caller — who skipped the read the
-// prefetcher already did — can attribute the page load exactly as it would
-// a demand read.
-func (p *PinnedPool) PinTracked(id PageID) (v any, ok, prefetched bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	fr := p.frames[id]
 	if fr == nil {
 		p.misses++
-		return nil, false, false
+		return nil, false
 	}
-	if fr.prefetched {
-		fr.prefetched = false
-		p.prefetchHits++
-		p.misses++
-		prefetched = true
-	} else {
-		p.hits++
-	}
+	p.hits++
 	if fr.pins == 0 {
 		p.lruRemove(fr)
 		p.pinned++
 	}
 	fr.pins++
-	return fr.v, true, prefetched
+	return fr.v, true
 }
 
 // Insert registers a freshly loaded page value, pinned once, and returns
@@ -206,12 +171,6 @@ func (p *PinnedPool) Insert(id PageID, v any) any {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if fr := p.frames[id]; fr != nil {
-		if fr.prefetched {
-			// A demand load raced a prefetch of the same page and both read
-			// it: the miss is already counted, the prefetch bought nothing.
-			fr.prefetched = false
-			p.prefetchBad++
-		}
 		if fr.pins == 0 {
 			p.lruRemove(fr)
 			p.pinned++
@@ -223,25 +182,6 @@ func (p *PinnedPool) Insert(id PageID, v any) any {
 	p.pinned++
 	p.evictOverflowLocked()
 	return v
-}
-
-// InsertPrefetch registers a page value loaded ahead of use. The frame goes
-// in unpinned at the most-recently-used end, flagged so the first Pin that
-// claims it counts as a prefetch hit. If the page is already resident the
-// value is discarded and the load counted as wasted. No counter of the
-// demand path (hits/misses) moves here — a prefetch is not an access.
-func (p *PinnedPool) InsertPrefetch(id PageID, v any) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.prefetched++
-	if p.frames[id] != nil {
-		p.prefetchBad++
-		return
-	}
-	fr := p.newFrame(id, v)
-	fr.prefetched = true
-	p.lruPushFront(fr)
-	p.evictOverflowLocked()
 }
 
 // Unpin releases one pin on id. When the last pin drops the frame joins
@@ -275,14 +215,6 @@ func (p *PinnedPool) evictOverflowLocked() {
 	}
 }
 
-// Contains reports whether id is currently resident (pinned or not). The
-// prefetch worker uses it to skip loads the pool already holds.
-func (p *PinnedPool) Contains(id PageID) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.frames[id] != nil
-}
-
 // EvictAll drops every unpinned frame — a cold restart of the cache, used
 // by experiments that measure per-query cold-start faults. It is not
 // counted in Evictions.
@@ -300,7 +232,6 @@ func (p *PinnedPool) ResetStats() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.hits, p.misses, p.evictions = 0, 0, 0
-	p.prefetched, p.prefetchHits, p.prefetchBad = 0, 0, 0
 }
 
 // Stats returns a snapshot of the counters and occupancy.
@@ -308,14 +239,11 @@ func (p *PinnedPool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return PoolStats{
-		Hits:           p.hits,
-		Misses:         p.misses,
-		Evictions:      p.evictions,
-		Prefetched:     p.prefetched,
-		PrefetchHits:   p.prefetchHits,
-		PrefetchWasted: p.prefetchBad,
-		Resident:       len(p.frames),
-		Pinned:         p.pinned,
-		Capacity:       p.capacity,
+		Hits:      p.hits,
+		Misses:    p.misses,
+		Evictions: p.evictions,
+		Resident:  len(p.frames),
+		Pinned:    p.pinned,
+		Capacity:  p.capacity,
 	}
 }

@@ -268,79 +268,6 @@ func TestBufferPoolConcurrentAccess(t *testing.T) {
 	}
 }
 
-// Prefetch mechanics: a prefetched frame is claimed by the first Pin as a
-// miss plus a prefetch hit (never a plain hit), and prefetched loads that
-// never pay off — evicted unused or duplicating a resident or
-// in-flight demand load — count as wasted. Exactly one of hit/wasted is
-// eventually charged per InsertPrefetch.
-func TestPinnedPoolPrefetchHitCountsAsMiss(t *testing.T) {
-	p := NewPinnedPool(4)
-	p.InsertPrefetch(1, "one")
-	st := p.Stats()
-	if st.Prefetched != 1 || st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("after InsertPrefetch: %+v, want prefetched=1 and no demand traffic", st)
-	}
-	v, ok, pf := p.PinTracked(1)
-	if !ok || !pf || v.(string) != "one" {
-		t.Fatalf("PinTracked(1) = (%v, %v, %v), want the prefetched value claimed", v, ok, pf)
-	}
-	st = p.Stats()
-	if st.PrefetchHits != 1 || st.Misses != 1 || st.Hits != 0 {
-		t.Fatalf("first claim: %+v, want prefetchHits=1 misses=1 hits=0", st)
-	}
-	p.Unpin(1)
-	// The second access is an ordinary warm hit.
-	if _, ok, pf := p.PinTracked(1); !ok || pf {
-		t.Fatalf("second Pin = (%v, %v), want a plain hit", ok, pf)
-	}
-	p.Unpin(1)
-	st = p.Stats()
-	if st.Hits != 1 || st.PrefetchHits != 1 || st.PrefetchWasted != 0 {
-		t.Fatalf("after warm re-pin: %+v", st)
-	}
-}
-
-func TestPinnedPoolPrefetchWasted(t *testing.T) {
-	p := NewPinnedPool(1)
-	// Evicted unused: page 2 pushes the unclaimed prefetch of page 1 out.
-	p.InsertPrefetch(1, "one")
-	p.InsertPrefetch(2, "two")
-	st := p.Stats()
-	if st.Prefetched != 2 || st.PrefetchWasted != 1 || st.Evictions != 1 {
-		t.Fatalf("evicted-unused: %+v, want prefetched=2 wasted=1 evictions=1", st)
-	}
-	// Duplicate of a resident frame: the value is discarded and counted.
-	p.InsertPrefetch(2, "again")
-	if st := p.Stats(); st.Prefetched != 3 || st.PrefetchWasted != 2 {
-		t.Fatalf("duplicate prefetch: %+v, want prefetched=3 wasted=2", st)
-	}
-	// Demand Insert racing an unclaimed prefetch: the read duplicated, the
-	// miss was already counted at Pin time, the prefetch bought nothing.
-	if _, ok := p.Pin(3); ok {
-		t.Fatal("page 3 must miss")
-	}
-	p.InsertPrefetch(3, "pf")
-	p.Insert(3, "demand")
-	st = p.Stats()
-	if st.PrefetchWasted != 4 || st.PrefetchHits != 0 {
-		// wasted=4: page 1 evicted, duplicate of 2, racing demand load of 3,
-		// plus 2's unclaimed frame evicted when 3's prefetch landed.
-		t.Fatalf("racing demand insert: %+v, want wasted=4 hits=0", st)
-	}
-	if st.Misses != 1 {
-		t.Fatalf("misses = %d, want the single demand miss", st.Misses)
-	}
-	p.Unpin(3)
-
-	// EvictAll over an unclaimed prefetched frame counts as wasted too.
-	q := NewPinnedPool(4)
-	q.InsertPrefetch(10, "ten")
-	q.EvictAll()
-	if st := q.Stats(); st.PrefetchWasted != 1 {
-		t.Fatalf("EvictAll over prefetched frame: %+v, want wasted=1", st)
-	}
-}
-
 // TestPinnedPoolEvictHook pins down which departures hand a value to the
 // evict hook — every one that leaves the value unreachable through the pool
 // while nobody has it pinned — and that a pinned frame's value never is: its

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"os"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -46,25 +45,17 @@ type Store struct {
 	retries atomic.Int64
 	gaveUp  atomic.Int64
 
-	// prefetchCh feeds the single background load-ahead worker; see
-	// Prefetch. The worker exits when the channel closes (Close), and
-	// prefetchWG lets Close wait for it before releasing the file.
-	prefetchCh chan page.PageID
-	prefetchWG sync.WaitGroup
-
 	// missByLevel counts real page reads by tree level of the page. It is
 	// sized by the header's height, and decodeNodePage refuses a page whose
 	// level is out of that range.
 	missByLevel []atomic.Int64
 
-	mu     sync.Mutex // guards closed against a late Prefetch send
-	closed bool
+	closed atomic.Bool // set by the first Close; later ones are no-ops
 }
 
 var (
 	_ gist.NodeStore     = (*Store)(nil)
 	_ gist.StatsProvider = (*Store)(nil)
-	_ gist.Prefetcher    = (*Store)(nil)
 )
 
 // OpenPaged opens a pagefile for demand-paged querying with a buffer pool
@@ -120,51 +111,7 @@ func OpenPagedIO(path string, opts am.Options, poolPages int, wrap func(faultio.
 		f.Close()
 		return nil, nil, err
 	}
-	s.prefetchCh = make(chan page.PageID, prefetchQueueCap)
-	s.prefetchWG.Add(1)
-	go s.prefetchLoop()
 	return tree, s, nil
-}
-
-// prefetchQueueCap bounds the pending load-ahead hints; Prefetch drops on
-// the floor past it rather than ever blocking a traversal.
-const prefetchQueueCap = 64
-
-// Prefetch implements gist.Prefetcher: a hint that id will likely be pinned
-// soon. The background worker reads and decodes the page and parks it in
-// the buffer pool unpinned, so the later Pin finds it resident (counted as
-// a miss plus a prefetch hit — the read happened on that Pin's behalf; see
-// page.PoolStats). Purely advisory: never blocks, errors are dropped, and
-// hints are discarded when the queue is full or the store is closed.
-func (s *Store) Prefetch(id page.PageID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	select {
-	case s.prefetchCh <- id:
-	default:
-	}
-}
-
-// prefetchLoop is the single background load-ahead worker. One worker (not
-// a pool) serializes prefetch reads, so duplicate hints for a page resolve
-// against the residency check instead of racing each other on the file.
-func (s *Store) prefetchLoop() {
-	defer s.prefetchWG.Done()
-	for id := range s.prefetchCh {
-		if s.pool.Contains(id) {
-			continue
-		}
-		// One attempt, no retries: a prefetch that fails transiently just
-		// leaves the page for the demand path's retrying Pin.
-		n, err := s.readPage(id)
-		if err != nil {
-			continue
-		}
-		s.pool.InsertPrefetch(id, n)
-	}
 }
 
 // Retry policy for transient page-read failures: pinAttempts total read
@@ -179,21 +126,15 @@ const (
 
 // Pin returns the node for id, resident until the matching Unpin: from the
 // buffer pool on a hit, and by reading and decoding its file page on a miss.
+// Pages are read only on demand, so every miss is one read on this pin's
+// behalf, attributed to the page's tree level.
 // Transient read failures (ErrTransient) are retried with jittered
 // exponential backoff up to pinAttempts; corruption (ErrChecksum, or a page
 // that contradicts the header) fails immediately — re-reading cannot fix
 // wrong bytes.
 func (s *Store) Pin(id page.PageID) (*gist.Node, error) {
-	if v, ok, prefetched := s.pool.PinTracked(id); ok {
-		n := v.(*gist.Node)
-		if prefetched {
-			// First use of a prefetched frame: the physical read happened on
-			// this pin's behalf, so attribute it per level exactly like a
-			// demand read — which keeps MissesByLevel equal to the amdb
-			// simulation's per-level I/Os regardless of prefetching.
-			s.missByLevel[n.Level()].Add(1)
-		}
-		return n, nil
+	if v, ok := s.pool.Pin(id); ok {
+		return v.(*gist.Node), nil
 	}
 	n, err := s.readPageRetry(id)
 	if err != nil {
@@ -303,20 +244,10 @@ func (s *Store) ResetStats() {
 // Close releases the underlying file. It is idempotent — a second Close is
 // a nil no-op instead of an os.File double-close error, so stacked shutdown
 // paths (e.g. a daemon's signal handler and its deferred cleanup) compose.
-// The prefetch worker is drained and joined before the file closes, so no
-// background read ever touches a closed file. The file was only ever read,
-// so there is nothing to write back.
+// The file was only ever read, so there is nothing to write back.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.closed.Swap(true) {
 		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	if s.prefetchCh != nil {
-		close(s.prefetchCh) // Prefetch checks closed under mu, so no late sends
-		s.prefetchWG.Wait()
 	}
 	return s.f.Close()
 }

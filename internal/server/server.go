@@ -635,31 +635,25 @@ type IndexInfo struct {
 // BufferInfo mirrors blobindex.BufferStats for demand-paged indexes; nil in
 // Stats when the served index is fully in memory.
 type BufferInfo struct {
-	Hits           int64 `json:"hits"`
-	Misses         int64 `json:"misses"`
-	Evictions      int64 `json:"evictions"`
-	Retries        int64 `json:"retries"`
-	GaveUp         int64 `json:"gave_up"`
-	Prefetched     int64 `json:"prefetched"`
-	PrefetchHits   int64 `json:"prefetch_hits"`
-	PrefetchWasted int64 `json:"prefetch_wasted"`
-	Resident       int   `json:"resident"`
-	Capacity       int   `json:"capacity"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
+	Retries   int64 `json:"retries"`
+	GaveUp    int64 `json:"gave_up"`
+	Resident  int   `json:"resident"`
+	Capacity  int   `json:"capacity"`
 }
 
 // bufferInfo converts the facade's counters to the stats wire shape.
 func bufferInfo(bs blobindex.BufferStats) *BufferInfo {
 	return &BufferInfo{
-		Hits:           bs.Hits,
-		Misses:         bs.Misses,
-		Evictions:      bs.Evictions,
-		Retries:        bs.Retries,
-		GaveUp:         bs.GaveUp,
-		Prefetched:     bs.Prefetched,
-		PrefetchHits:   bs.PrefetchHits,
-		PrefetchWasted: bs.PrefetchWasted,
-		Resident:       bs.Resident,
-		Capacity:       bs.Capacity,
+		Hits:      bs.Hits,
+		Misses:    bs.Misses,
+		Evictions: bs.Evictions,
+		Retries:   bs.Retries,
+		GaveUp:    bs.GaveUp,
+		Resident:  bs.Resident,
+		Capacity:  bs.Capacity,
 	}
 }
 

@@ -75,15 +75,12 @@ func (ix *Index) RefineStats() (s BufferStats, ok bool) {
 	}
 	ps := ix.side.PoolStats()
 	return BufferStats{
-		Hits:           ps.Hits,
-		Misses:         ps.Misses,
-		Evictions:      ps.Evictions,
-		Retries:        ps.Retries,
-		GaveUp:         ps.GaveUp,
-		Prefetched:     ps.Prefetched,
-		PrefetchHits:   ps.PrefetchHits,
-		PrefetchWasted: ps.PrefetchWasted,
-		Resident:       ps.Resident,
-		Capacity:       ps.Capacity,
+		Hits:      ps.Hits,
+		Misses:    ps.Misses,
+		Evictions: ps.Evictions,
+		Retries:   ps.Retries,
+		GaveUp:    ps.GaveUp,
+		Resident:  ps.Resident,
+		Capacity:  ps.Capacity,
 	}, true
 }

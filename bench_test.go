@@ -10,7 +10,9 @@ package blobindex
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -22,6 +24,7 @@ import (
 	"blobindex/internal/gist"
 	"blobindex/internal/nn"
 	"blobindex/internal/page"
+	"blobindex/internal/pagefile"
 	"blobindex/internal/workload"
 )
 
@@ -479,4 +482,84 @@ func BenchmarkBatchSearchKNN(b *testing.B) {
 			b.ReportMetric(float64(len(queries)*b.N)/b.Elapsed().Seconds(), "queries/s")
 		})
 	}
+}
+
+// BenchmarkSearchRefine measures one refined 200-NN search in process, the
+// request the bench/ refine workload serves: a seeded 48k-blob corpus, the
+// 5-d index filtering at TargetRecall 0.99 (2 400 candidates), and the exact
+// 218-d re-rank reading its features through a sidecar pool of ~8.5 % of
+// the data pages, the workload's ratio (1 024 frames over ~12 k pages), so
+// most pages are misses. Queries are distinct perturbed corpus features. It reports the
+// sidecar pages pinned and missed per search; the steady state allocates
+// nothing.
+func BenchmarkSearchRefine(b *testing.B) {
+	const images, k, queries = 8000, 200, 256
+	c, err := GenerateCorpus(CorpusConfig{Images: images, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	feats := c.Features()
+	sample := make([][]float64, 0, len(feats)/4+1)
+	for i := 0; i < len(feats); i += 4 {
+		sample = append(sample, feats[i])
+	}
+	red, err := FitReducer(sample, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pts := make([]Point, len(feats))
+	rids := make([]int64, len(feats))
+	for i, key := range red.ReduceAll(feats) {
+		pts[i] = Point{Key: key, RID: int64(i)}
+		rids[i] = int64(i)
+	}
+	ix, err := Build(pts, Options{Method: XJB, Dim: 5, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	side := filepath.Join(b.TempDir(), "blobs.side")
+	if err := SaveSidecar(side, 0, red, rids, feats); err != nil {
+		b.Fatal(err)
+	}
+	perPage := pagefile.SidecarRecordsPerPage(8192, len(feats[0]))
+	dataPages := (len(feats) + perPage - 1) / perPage
+	if err := ix.AttachRefine(side, (dataPages*85+999)/1000); err != nil {
+		b.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	qs := make([][]float64, queries)
+	for i := range qs {
+		base := feats[rng.Intn(len(feats))]
+		q := make([]float64, len(base))
+		for d, v := range base {
+			q[d] = math.Max(0, v*(1+0.1*rng.NormFloat64()))
+		}
+		qs[i] = q
+	}
+	req := SearchRequest{K: k, Refine: true, TargetRecall: 0.99}
+	dst := make([]Neighbor, 0, k)
+	search := func(i int) SearchResponse {
+		req.Query = qs[i%queries]
+		resp, err := ix.SearchInto(context.Background(), req, dst[:0])
+		if err != nil || len(resp.Neighbors) != k {
+			b.Fatalf("search %d: %d neighbors, %v", i, len(resp.Neighbors), err)
+		}
+		return resp
+	}
+	for i := 0; i < 8; i++ {
+		search(i) // pools, scratch and the refine pool's frames warm
+	}
+	before, _ := ix.RefineStats()
+	var pages int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pages += search(i).Refine.Pages
+	}
+	b.StopTimer()
+	after, _ := ix.RefineStats()
+	b.ReportMetric(float64(pages)/float64(b.N), "side_pages/op")
+	b.ReportMetric(float64(after.Misses-before.Misses)/float64(b.N), "side_misses/op")
 }

@@ -190,6 +190,42 @@ func siftDownPairs(ps []knnPair, i, n int) {
 
 func sortResultsFast(rs []Result) { introResults(rs, depthBudget(len(rs))) }
 
+// TopK orders the k smallest of rs by (Dist2, RID) into rs[:k] and returns
+// that prefix, leaving the rest of rs in no particular order: exactly the
+// first k of sortResultsFast(rs), without sorting the elements past k. k
+// must not be negative; a k at or past len(rs) sorts all of rs.
+func TopK(rs []Result, k int) []Result {
+	if k >= len(rs) {
+		sortResultsFast(rs)
+		return rs
+	}
+	selectResults(rs, k, depthBudget(len(rs)))
+	sortResultsFast(rs[:k])
+	return rs[:k]
+}
+
+// selectResults is introselect: it moves the k smallest of rs into rs[:k],
+// in any order, partitioning only the side that holds the k-th element.
+func selectResults(rs []Result, k, depth int) {
+	for len(rs) > sortCutoff {
+		if depth == 0 {
+			heapSortResults(rs)
+			return
+		}
+		depth--
+		mid := partitionResults(rs)
+		switch {
+		case k < mid:
+			rs = rs[:mid]
+		case k > mid+1:
+			rs, k = rs[mid+1:], k-mid-1
+		default:
+			return // rs[:mid] ≤ rs[mid] ≤ rs[mid+1:], and k is mid or mid+1
+		}
+	}
+	insertionSortResults(rs)
+}
+
 func introResults(rs []Result, depth int) {
 	for len(rs) > sortCutoff {
 		if depth == 0 {

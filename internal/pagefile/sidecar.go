@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"blobindex/internal/faultio"
 	"blobindex/internal/geom"
@@ -286,12 +287,15 @@ func SaveSidecar(path string, pageSize int, mean []float64, components [][]float
 // read failures retry with jittered exponential backoff, checksum mismatches
 // fail immediately. Safe for any number of concurrent readers.
 //
-// A page miss allocates nothing in the steady state: the frame the pool
-// evicts to make room comes back through the pool's evict hook and is decoded
-// into by a later miss. A frame is therefore in exactly one place at a time —
-// resident in the pool (readable while pinned), on the free list, or private
-// to the one load filling it — and only a successful load moves it into the
-// pool.
+// A frame is the page as read: a miss reads the page's bytes straight into
+// it, and the records' features are handed out as views of those bytes, so
+// nothing is decoded or copied. That makes the store little-endian only:
+// OpenSidecar refuses a big-endian host. A page miss allocates nothing in
+// the steady state: the frame the pool evicts to make room comes back
+// through the pool's evict hook and is read into by a later miss. A frame is
+// therefore in exactly one place at a time — resident in the pool (readable
+// while pinned), on the free list, or private to the one load filling it —
+// and only a successful load moves it into the pool.
 type SideStore struct {
 	f    faultio.File
 	h    sideHeader
@@ -304,18 +308,22 @@ type SideStore struct {
 
 	freeMu sync.Mutex
 	free   *sideFrame // frames awaiting reuse, chained through next
-	bufs   sync.Pool  // *[]byte page read buffers, one per Visit in flight
 
 	retries atomic.Int64
 	gaveUp  atomic.Int64
 	closed  atomic.Bool
 }
 
-// sideFrame holds one decoded data page: record r's feature is
-// flat[r*fullDim:(r+1)*fullDim]. flat always has room for a full page.
+// sideFrame holds one data page exactly as read from the file. words is the
+// page as ⌈pageSize/8⌉ float64s, so it is 8-byte aligned; raw is the same
+// memory as its first pageSize bytes, the buffer the page is read into.
+// Every record is a whole number of words (RID, then fullDim float64s) from
+// byte 8 on, so record r's feature is the words from 2 + r·(1+fullDim):
+// little-endian float64s read in place.
 type sideFrame struct {
-	flat []float64
-	next *sideFrame // free-list link
+	words []float64
+	raw   []byte
+	next  *sideFrame // free-list link
 }
 
 // OpenSidecar opens a side store with a buffer pool of poolPages frames.
@@ -344,6 +352,9 @@ func OpenSidecarIO(path string, poolPages int, wrap func(faultio.File) faultio.F
 }
 
 func openSidecar(f *os.File, poolPages int) (*SideStore, error) {
+	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		return nil, errors.New("pagefile: the sidecar reads its little-endian pages in place and needs a little-endian host")
+	}
 	r := bufio.NewReaderSize(f, 1<<20)
 	fixed := make([]byte, sideHeaderFixed)
 	if _, err := io.ReadFull(r, fixed); err != nil {
@@ -442,10 +453,6 @@ func openSidecar(f *os.File, poolPages int) (*SideStore, error) {
 		s.slotOf[rid] = uint32(slot)
 	}
 	s.pool.SetEvictHook(func(v any) { s.recycle(v.(*sideFrame)) })
-	s.bufs.New = func() any {
-		b := make([]byte, h.pageSize)
-		return &b
-	}
 	return s, nil
 }
 
@@ -485,13 +492,11 @@ func (s *SideStore) Slot(rid int64) (slot uint32, ok bool) {
 // pins made. On error the visit stops; fn has run for the slots before the
 // failing page.
 func (s *SideStore) Visit(slots []uint32, fn func(i int, feat []float64)) (pages int, err error) {
-	buf := s.bufs.Get().(*[]byte)
-	defer s.bufs.Put(buf)
 	for i := 0; i < len(slots); pages++ {
 		if int64(slots[i]) >= int64(s.h.count) {
 			return pages, fmt.Errorf("pagefile: sidecar slot %d out of range [0,%d)", slots[i], s.h.count)
 		}
-		if i, err = s.visitPage(slots, i, *buf, fn); err != nil {
+		if i, err = s.visitPage(slots, i, fn); err != nil {
 			return pages, err
 		}
 	}
@@ -500,10 +505,10 @@ func (s *SideStore) Visit(slots []uint32, fn func(i int, feat []float64)) (pages
 
 // visitPage pins the page of slots[i], runs fn over the run of slots starting
 // at i that live on it, and returns the index after the run.
-func (s *SideStore) visitPage(slots []uint32, i int, buf []byte, fn func(i int, feat []float64)) (int, error) {
+func (s *SideStore) visitPage(slots []uint32, i int, fn func(i int, feat []float64)) (int, error) {
 	perPage, dim := uint32(s.h.perPage), s.h.fullDim
 	id := page.PageID(slots[i] / perPage)
-	fr, err := s.pin(id, buf)
+	fr, err := s.pin(id)
 	if err != nil {
 		return i, err
 	}
@@ -512,8 +517,12 @@ func (s *SideStore) visitPage(slots []uint32, i int, buf []byte, fn func(i int, 
 	// the records, which Visit then reports.
 	first, n := uint32(id)*perPage, min(perPage, uint32(s.h.count)-uint32(id)*perPage)
 	for ; i < len(slots) && slots[i]-first < n; i++ {
-		r := int(slots[i] - first)
-		fn(i, fr.flat[r*dim:(r+1)*dim:(r+1)*dim])
+		// Record r's feature ends at byte 8 + (r+1)·(8 + 8·dim), within the
+		// page's bytes: openSidecar accepts perPage only as
+		// SidecarRecordsPerPage(pageSize, fullDim), so 8 + perPage·(8 +
+		// 8·fullDim) ≤ pageSize.
+		at := 2 + int(slots[i]-first)*(1+dim)
+		fn(i, fr.words[at:at+dim:at+dim])
 	}
 	return i, nil
 }
@@ -533,15 +542,14 @@ func (s *SideStore) Feature(rid int64, dst []float64) ([]float64, error) {
 }
 
 // pin returns data page id's frame, pinned: the resident one, or on a miss a
-// recycled frame filled from the file through buf and registered with the
-// pool. A frame whose read failed goes back to the free list, never into the
-// pool.
-func (s *SideStore) pin(id page.PageID, buf []byte) (*sideFrame, error) {
+// recycled frame filled from the file and registered with the pool. A frame
+// whose read failed goes back to the free list, never into the pool.
+func (s *SideStore) pin(id page.PageID) (*sideFrame, error) {
 	if v, ok := s.pool.Pin(id); ok {
 		return v.(*sideFrame), nil
 	}
 	fr := s.takeFrame()
-	if err := s.readSidePageRetry(id, buf, fr); err != nil {
+	if err := s.readSidePageRetry(id, fr); err != nil {
 		s.recycle(fr)
 		return nil, err
 	}
@@ -562,7 +570,11 @@ func (s *SideStore) takeFrame() *sideFrame {
 	}
 	s.freeMu.Unlock()
 	if fr == nil {
-		fr = &sideFrame{flat: make([]float64, s.h.perPage*s.h.fullDim)}
+		words := make([]float64, (s.h.pageSize+7)/8)
+		fr = &sideFrame{
+			words: words,
+			raw:   unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), s.h.pageSize),
+		}
 	}
 	return fr
 }
@@ -578,9 +590,9 @@ func (s *SideStore) recycle(fr *sideFrame) {
 
 // readSidePageRetry reads a data page into fr, retrying transient failures
 // with the same jittered backoff budget as node-page pins.
-func (s *SideStore) readSidePageRetry(id page.PageID, buf []byte, fr *sideFrame) error {
+func (s *SideStore) readSidePageRetry(id page.PageID, fr *sideFrame) error {
 	for attempt := 0; ; attempt++ {
-		err := s.readSidePage(id, buf, fr)
+		err := s.readSidePage(id, fr)
 		if err == nil {
 			return nil
 		}
@@ -596,10 +608,11 @@ func (s *SideStore) readSidePageRetry(id page.PageID, buf []byte, fr *sideFrame)
 	}
 }
 
-// readSidePage reads one data page into buf, verifies its CRC, its record
-// count and that it holds the records the directory says it does, and
-// decodes the features into fr.
-func (s *SideStore) readSidePage(id page.PageID, buf []byte, fr *sideFrame) error {
+// readSidePage reads one data page into fr's bytes and verifies, in place,
+// its CRC, its record count and that it holds the records the directory says
+// it does. The features need no decoding: fr's views of them are read as is.
+func (s *SideStore) readSidePage(id page.PageID, fr *sideFrame) error {
+	buf := fr.raw
 	off := int64(1+s.h.metaPages+int(id)) * int64(s.h.pageSize)
 	if _, err := s.f.ReadAt(buf, off); err != nil {
 		if transientRead(err) {
@@ -619,18 +632,11 @@ func (s *SideStore) readSidePage(id page.PageID, buf []byte, fr *sideFrame) erro
 	if n := int(binary.LittleEndian.Uint16(buf[0:])); n != len(want) {
 		return fmt.Errorf("pagefile: sidecar page %d holds %d records, directory says %d", id, n, len(want))
 	}
-	dim := s.h.fullDim
-	rec := buf[8:]
+	stride := 8 + 8*s.h.fullDim
 	for i, rid := range want {
-		if got := int64(binary.LittleEndian.Uint64(rec)); got != rid {
+		if got := int64(binary.LittleEndian.Uint64(buf[8+i*stride:])); got != rid {
 			return fmt.Errorf("pagefile: sidecar page %d record %d is rid %d, directory says %d", id, i, got, rid)
 		}
-		src := rec[8 : 8+8*dim]
-		dst := fr.flat[i*dim : (i+1)*dim]
-		for d := range dst {
-			dst[d] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*d:]))
-		}
-		rec = rec[8+8*dim:]
 	}
 	return nil
 }

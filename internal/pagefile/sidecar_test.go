@@ -11,9 +11,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"blobindex/internal/faultio"
 	"blobindex/internal/geom"
+	"blobindex/internal/page"
 	"blobindex/internal/svd"
 )
 
@@ -384,5 +386,143 @@ func TestSidecarPageMustMatchDirectory(t *testing.T) {
 			t.Errorf("%s mismatch: the rejected page is resident (%+v)", name, st)
 		}
 		s.Close()
+	}
+}
+
+// TestSidecarViewsAreRecords checks the views Visit hands out now that a
+// frame is the page as read: on a miss and on a later hit, every view is the
+// written feature bit for bit, has len == cap == fullDim, is 8-byte aligned
+// and lies inside its pinned frame at its record's offset. The fixture is
+// awkward on purpose: a page size that is not a multiple of 8, a short last
+// page, and a pool smaller than the file. A page that fails its CRC or the
+// directory check is never handed out, and its frame goes back to the free
+// list, where the next miss takes it.
+func TestSidecarViewsAreRecords(t *testing.T) {
+	const (
+		pageSize = 1001
+		fullDim  = 13
+		pool     = 4
+	)
+	perPage := SidecarRecordsPerPage(pageSize, fullDim)
+	n := 10*perPage + 3 // 11 data pages, the last one short
+	path, rids, feats, _ := sidecarFixture(t, n, fullDim, 3, pageSize)
+	byRID := make(map[int64][]float64, n)
+	for i, rid := range rids {
+		byRID[rid] = feats[i]
+	}
+	s, err := OpenSidecar(path, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.h.dataPages <= pool {
+		t.Fatalf("%d data pages fit the %d-frame pool", s.h.dataPages, pool)
+	}
+
+	checkView := func(slot uint32, feat []float64) {
+		t.Helper()
+		if len(feat) != fullDim || cap(feat) != fullDim {
+			t.Fatalf("slot %d: view has len %d cap %d, want %d", slot, len(feat), cap(feat), fullDim)
+		}
+		want := byRID[s.rids[slot]]
+		for d := range want {
+			if math.Float64bits(feat[d]) != math.Float64bits(want[d]) {
+				t.Fatalf("slot %d coordinate %d = %v, want %v", slot, d, feat[d], want[d])
+			}
+		}
+		at := uintptr(unsafe.Pointer(&feat[0]))
+		if at%8 != 0 {
+			t.Fatalf("slot %d: view at %#x is not 8-byte aligned", slot, at)
+		}
+		// The page is pinned while fn runs, so this pin is a hit on the very
+		// frame the view was cut from.
+		id := page.PageID(slot / uint32(perPage))
+		v, ok := s.pool.Pin(id)
+		if !ok {
+			t.Fatalf("slot %d: page %d is not resident during its visit", slot, id)
+		}
+		defer s.pool.Unpin(id)
+		fr := v.(*sideFrame)
+		base := uintptr(unsafe.Pointer(&fr.raw[0]))
+		r := uintptr(slot % uint32(perPage))
+		if want := base + 16 + r*(8+8*fullDim); at != want {
+			t.Fatalf("slot %d: view at frame offset %d, want %d", slot, at-base, want-base)
+		}
+		if end := at + 8*fullDim; end > base+pageSize {
+			t.Fatalf("slot %d: view ends %d bytes past its frame", slot, end-base-pageSize)
+		}
+	}
+	visit := func(slots []uint32) {
+		t.Helper()
+		seen := 0
+		if _, err := s.Visit(slots, func(i int, feat []float64) {
+			seen++
+			checkView(slots[i], feat)
+		}); err != nil || seen != len(slots) {
+			t.Fatalf("Visit: %v after %d of %d records", err, seen, len(slots))
+		}
+	}
+
+	all := make([]uint32, n)
+	for i := range all {
+		all[i] = uint32(i)
+	}
+	visit(all) // every page a miss, frames recycled through the small pool
+	if st := s.PoolStats(); st.Misses != int64(s.h.dataPages) || st.Pinned != 0 {
+		t.Fatalf("cold visit: %+v, want %d misses and nothing pinned", st, s.h.dataPages)
+	}
+	before := s.PoolStats()
+	visit(all[n-2*perPage:]) // the last two pages are still resident
+	if st := s.PoolStats(); st.Misses != before.Misses || st.Pinned != 0 {
+		t.Fatalf("warm visit missed: %+v -> %+v", before, st)
+	}
+
+	// A CRC failure (page 1) and a directory mismatch under a valid CRC
+	// (page 2): neither page's records reach fn.
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pageAt := func(data []byte, id int) []byte {
+		off := (1 + s.h.metaPages + id) * pageSize
+		return data[off : off+pageSize]
+	}
+	data := bytes.Clone(clean)
+	pageAt(data, 1)[40] ^= 0x10
+	pg := pageAt(data, 2)
+	binary.LittleEndian.PutUint64(pg[8:], uint64(s.rids[2*perPage]+1))
+	binary.LittleEndian.PutUint32(pg[4:], 0)
+	binary.LittleEndian.PutUint32(pg[4:], crc32.ChecksumIEEE(pg))
+	bad := filepath.Join(t.TempDir(), "bad.side")
+	if err := os.WriteFile(bad, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := OpenSidecar(bad, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for _, id := range []int{1, 2} {
+		slot := uint32(id * perPage)
+		if _, err := b.Visit([]uint32{slot}, func(int, []float64) {
+			t.Fatalf("page %d failed its checks but slot %d was handed out", id, slot)
+		}); err == nil {
+			t.Fatalf("Visit over corrupt page %d succeeded", id)
+		}
+		failed := b.free
+		if st := b.PoolStats(); st.Resident != 0 || failed == nil {
+			t.Fatalf("page %d: failed load left %d resident frames, free list empty = %v", id, st.Resident, failed == nil)
+		}
+		// The next miss reads into the frame the failed load gave back.
+		seen := 0
+		if _, err := b.Visit([]uint32{0}, func(_ int, feat []float64) {
+			seen++
+			if &feat[0] != &failed.words[2] {
+				t.Errorf("page 0 was read into a new frame, not the recycled one")
+			}
+		}); err != nil || seen != 1 {
+			t.Fatalf("Visit of a clean page: %v", err)
+		}
+		b.EvictAll() // page 0's frame back on the free list for the next round
 	}
 }

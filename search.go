@@ -291,8 +291,8 @@ func (ix *Index) SearchInto(ctx context.Context, req SearchRequest, dst []Neighb
 		// space position, so sorted by slot the candidates fall into runs on
 		// shared pages and each page is pinned once. Scoring happens inside
 		// the visit, on a view of the resident page — no feature is copied.
-		// Harmless to the response: the full-space sort below re-ranks from
-		// scratch and its (Dist2, RID) key is a total order.
+		// Harmless to the response: the full-space selection below re-ranks
+		// from scratch and its (Dist2, RID) key is a total order.
 		sc.order = sc.order[:0]
 		for i := range res {
 			slot, ok := ix.side.Slot(res[i].RID)
@@ -312,22 +312,12 @@ func (ix *Index) SearchInto(ctx context.Context, req SearchRequest, dst []Neighb
 		if err != nil {
 			return resp, fmt.Errorf("refine: %w", err)
 		}
-		slices.SortFunc(res, func(a, b nn.Result) int {
-			switch {
-			case a.Dist2 < b.Dist2:
-				return -1
-			case a.Dist2 > b.Dist2:
-				return 1
-			case a.RID < b.RID:
-				return -1
-			case a.RID > b.RID:
-				return 1
-			}
-			return 0
-		})
-		if req.K > 0 && len(res) > req.K {
-			res = res[:req.K]
+		// Keep the K best in (Dist2, RID) order; a range request keeps all.
+		keep := len(res)
+		if req.K > 0 {
+			keep = req.K
 		}
+		res = nn.TopK(res, keep)
 		resp.Refine = StageStats{Candidates: scored, Duration: time.Since(start), Pages: pages}
 		resp.Refined = true
 	}

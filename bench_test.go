@@ -348,6 +348,37 @@ func BenchmarkSearchKNN(b *testing.B) {
 	}
 }
 
+// BenchmarkStackSearch measures 200-NN search through the facade over a
+// durable index's segment stack, the reader's view on an ingesting index:
+// a 7 000-point base file segment, then 500 inserts and 50 deletes per seal
+// (tombstones), and an active memory segment of 500 points. The segments
+// metric is the stack's depth.
+func BenchmarkStackSearch(b *testing.B) {
+	const dim, k = 5, 200
+	for _, segments := range []int{2, 9, 27} {
+		b.Run(fmt.Sprintf("segments=%d", segments), func(b *testing.B) {
+			ix := stackFixture(b, segments, 7000, 500, 50, dim)
+			defer ix.Close()
+			rng := rand.New(rand.NewSource(99))
+			queries := make([][]float64, 64)
+			for i := range queries {
+				queries[i] = randKey(rng, dim)
+			}
+			dst := make([]Neighbor, 0, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp, err := ix.SearchInto(nil, SearchRequest{Query: queries[i%len(queries)], K: k}, dst[:0])
+				if err != nil || len(resp.Neighbors) != k {
+					b.Fatalf("%d results, err %v", len(resp.Neighbors), err)
+				}
+				dst = resp.Neighbors
+			}
+			b.ReportMetric(float64(segments), "segments")
+		})
+	}
+}
+
 // BenchmarkSearchRange measures range search per access method at each
 // query's exact 200th-neighbor radius, with a reused result buffer.
 func BenchmarkSearchRange(b *testing.B) {

@@ -94,9 +94,12 @@ func TestMinDist2RectMinusBiteMatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestMinDist2JBMatchesGeneric holds the stack-array search to the generic
+// one bit for bit. Above 8 dims MinDist2JB is the generic search itself, so
+// only dims 1–8 compare two implementations.
 func TestMinDist2JBMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for dim := 1; dim <= 10; dim++ {
+	for dim := 1; dim <= 8; dim++ {
 		for trial := 0; trial < 60; trial++ {
 			r := randRect(rng, dim)
 			bites := randBites(rng, r, dim)

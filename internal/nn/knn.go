@@ -8,8 +8,9 @@ import (
 	"blobindex/internal/page"
 )
 
-// knnSearch is the bounded k-NN engine behind SearchCtxInto. It splits the
-// classic Hjaltason–Samet single queue in two:
+// knnSearch is the bounded k-NN engine behind SearchRootsCtxInto and its
+// one-tree form SearchCtxInto. It splits the classic Hjaltason–Samet single
+// queue in two:
 //
 //   - the priority queue holds ONLY unexpanded subtrees, ordered by
 //     (MinDist2, discovery order);
@@ -34,8 +35,9 @@ import (
 // and the search visits exactly the nodes the classic single-queue search
 // visits, in the same (MinDist2, seq) order.
 type knnSearch struct {
-	tree  *gist.Tree
-	store gist.NodeStore
+	roots []Root
+	tombs map[int64]uint64
+	gen   uint64 // the generation of the root whose leaf is being scored
 	query geom.Vector
 	trace *gist.Trace
 	ctx   context.Context
@@ -54,13 +56,14 @@ type knnSearch struct {
 	pairs2 []knnPair // emit-time scatter space (bucketSortPairs)
 }
 
-// nodeItem is one frontier entry: an unexpanded subtree at its admissible
-// lower bound. Unlike the incremental Iterator's item it carries no Result
-// payload, so the frontier heap sifts 24 bytes per level instead of ~70.
+// nodeItem is one frontier entry: a subtree of roots[root] at its admissible
+// lower bound. Unlike the Iterator's item it carries no Result payload, so
+// the frontier heap sifts 24 bytes per level instead of ~70.
 type nodeItem struct {
 	d     float64
 	child page.PageID
 	seq   int32
+	root  int32
 }
 
 func nodeLess(a, b nodeItem) bool {
@@ -192,17 +195,19 @@ func (s *knnSearch) replaceRoot(d float64, ix int32) {
 	}
 }
 
-// offer folds one scored leaf point into the bound heap.
+// offer folds one scored leaf point into the bound heap. A point that beats
+// the bound is dropped if a tombstone masks it in its tree's generation.
 func (s *knnSearch) offer(d float64, n *gist.Node, i int) {
-	if len(s.hd) == s.k {
-		if d > s.hd[0] || d == s.hd[0] && n.LeafRID(i) >= s.res[s.hidx[0]].RID {
-			return // behind the k-th best in (Dist2, RID) order
-		}
-		s.res = append(s.res, Result{RID: n.LeafRID(i), Key: n.LeafKey(i), Dist2: d, Leaf: n.ID()})
+	rid, full := n.LeafRID(i), len(s.hd) == s.k
+	if full && (d > s.hd[0] || d == s.hd[0] && rid >= s.res[s.hidx[0]].RID) ||
+		len(s.tombs) > 0 && s.gen < s.tombs[rid] {
+		return // behind the k-th best in (Dist2, RID) order, or deleted
+	}
+	s.res = append(s.res, Result{RID: rid, Key: n.LeafKey(i), Dist2: d, Leaf: n.ID()})
+	if full {
 		s.replaceRoot(d, int32(len(s.res)-1))
 		return
 	}
-	s.res = append(s.res, Result{RID: n.LeafRID(i), Key: n.LeafKey(i), Dist2: d, Leaf: n.ID()})
 	s.hd = append(s.hd, d)
 	s.hidx = append(s.hidx, int32(len(s.res)-1))
 	s.siftUp(len(s.hd) - 1)
@@ -210,13 +215,15 @@ func (s *knnSearch) offer(d float64, n *gist.Node, i int) {
 
 // expand pins one subtree root, scores its contents, and releases the pin.
 func (s *knnSearch) expand(top nodeItem) bool {
-	n, err := s.store.Pin(top.child)
+	r := &s.roots[top.root]
+	n, err := r.Tree.Store().Pin(top.child)
 	if err != nil {
 		s.err = err
 		return false
 	}
 	s.trace.Record(n)
 	if n.IsLeaf() {
+		s.gen = r.Gen
 		flat, d := n.FlatKeys(), n.Dim()
 		s.dists = geom.Dist2FlatBlock(s.query, flat[:n.NumEntries()*d], d, s.dists[:0])
 		if len(s.hd) == s.k {
@@ -237,24 +244,27 @@ func (s *knnSearch) expand(top nodeItem) bool {
 			}
 		}
 	} else {
-		ext := s.tree.Ext()
+		ext := r.Tree.Ext()
 		for i := 0; i < n.NumEntries(); i++ {
 			m := ext.MinDist2(n.ChildPred(i), s.query)
 			if s.full() && m > s.hd[0] {
 				continue // provably beyond the k-th best
 			}
-			s.queue.push(nodeItem{d: m, child: n.ChildID(i), seq: s.seq})
+			s.queue.push(nodeItem{d: m, child: n.ChildID(i), seq: s.seq, root: top.root})
 			s.seq++
 		}
 	}
-	s.store.Unpin(n)
+	r.Tree.Store().Unpin(n)
 	return true
 }
 
-// run descends from root until no frontier subtree can beat the k-th best.
-func (s *knnSearch) run(root page.PageID) {
-	s.queue.push(nodeItem{d: 0, child: root, seq: s.seq})
-	s.seq++
+// run descends from every root until no frontier subtree can beat the k-th
+// best.
+func (s *knnSearch) run() {
+	for i := range s.roots {
+		s.queue.push(nodeItem{d: 0, child: s.roots[i].Tree.RootID(), seq: s.seq, root: int32(i)})
+		s.seq++
+	}
 	for len(s.queue) > 0 {
 		if s.canceled() {
 			return

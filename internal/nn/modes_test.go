@@ -146,7 +146,8 @@ func TestSphereTraceMonotonicity(t *testing.T) {
 // TestEngineContract holds every engine to the shared entry-point contract:
 // results are appended after a caller's dst prefix, a canceled ctx returns
 // its error with dst truncated to that prefix, and k <= 0 or an empty tree
-// leaves dst unchanged with a nil error.
+// (for the multi-root search, empty trees or no roots at all) leaves dst
+// unchanged with a nil error.
 func TestEngineContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	pts := randomPoints(rng, 1500, 2)
@@ -171,6 +172,9 @@ func TestEngineContract(t *testing.T) {
 		hasK bool // k selects the result count; range ignores it
 	}{
 		{"best-first", byK(SearchCtxInto), true},
+		{"multi-root", byK(func(ctx context.Context, tr *gist.Tree, q geom.Vector, k int, trace *gist.Trace, dst []Result) ([]Result, error) {
+			return SearchRootsCtxInto(ctx, []Root{{Tree: empty}, {Tree: tr, Gen: 1}}, map[int64]uint64{-1: 2}, nil, q, k, trace, dst)
+		}), true},
 		{"expanding", byK(SearchExpandingCtxInto), true},
 		{"sphere", byK(SearchSphereCtxInto), true},
 		{"approx", byK(SearchApproxCtxInto), true},
@@ -242,4 +246,10 @@ func TestEngineContract(t *testing.T) {
 			}
 		})
 	}
+
+	got, err := SearchRootsCtxInto(bg, nil, nil, nil, q, k, nil, prefix())
+	if err != nil || len(got) != 2 {
+		t.Fatalf("zero roots: dst grew to %d, err %v", len(got), err)
+	}
+	samePrefix(t, got)
 }

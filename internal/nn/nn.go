@@ -3,6 +3,8 @@
 //
 //   - SearchCtxInto: exact k-NN by the best-first (incremental) algorithm of
 //     Hjaltason and Samet, the serving path;
+//   - SearchRootsCtxInto: that search over several trees at once, with
+//     tombstoned RIDs masked, for a segment stack;
 //   - SearchExpandingCtxInto: k-NN as the paper's access methods execute it,
 //     a greedy probe followed by doubling range queries (§5);
 //   - SearchSphereCtxInto: k-NN as one range query at the true k-th-neighbor
@@ -83,25 +85,53 @@ type pq []item
 // is the two-heap bounded best-first search of knn.go: the incremental
 // Iterator's distances without its per-point priority-queue traffic, with
 // exact distance ties ordered by RID (the Iterator yields them in discovery
-// order).
+// order). It is SearchRootsCtxInto over one tree.
 // See the package documentation for the dst, trace and ctx contract.
 func SearchCtxInto(ctx context.Context, t *gist.Tree, q geom.Vector, k int, trace *gist.Trace, dst []Result) ([]Result, error) {
+	return SearchRootsCtxInto(ctx, []Root{{Tree: t}}, nil, nil, q, k, trace, dst)
+}
+
+// Root is one tree of a multi-root search and the generation it was written in.
+type Root struct {
+	Tree *gist.Tree
+	Gen  uint64
+}
+
+// SearchRootsCtxInto is SearchCtxInto over the union of the roots' trees, one
+// frontier and one k-bound for all, skipping a point whose RID tombs maps to a
+// watermark above its root's Gen. It read-locks every tree for the whole search.
+// At most k seed results, found elsewhere, start in the k-bound and compete with
+// the trees' points; they are copied before dst is written, so seed may alias
+// dst past its length.
+func SearchRootsCtxInto(ctx context.Context, roots []Root, tombs map[int64]uint64, seed []Result, q geom.Vector, k int, trace *gist.Trace, dst []Result) ([]Result, error) {
 	base := len(dst)
-	if k <= 0 || t.Len() == 0 {
+	if k <= 0 || len(roots) == 0 {
 		return dst, ctxErr(ctx)
 	}
-	t.RLock()
-	defer t.RUnlock()
+	for _, r := range roots {
+		r.Tree.RLock()
+	}
+	defer func() {
+		for _, r := range roots {
+			r.Tree.RUnlock()
+		}
+	}()
 	sc := getScratch()
-	s := knnSearch{tree: t, store: t.Store(), query: q, trace: trace, ctx: ctx, k: k,
+	s := knnSearch{roots: append(sc.roots[:0], roots...), tombs: tombs, query: q, trace: trace, ctx: ctx, k: k,
 		queue: sc.nqueue, dists: sc.dists, pairs: sc.pairs, pairs2: sc.pairs2,
 		hd: sc.bound[:0], hidx: sc.kidx[:0], res: sc.results[:0]}
-	s.run(t.RootID())
+	for _, r := range seed {
+		s.res = append(s.res, r)
+		s.hd = append(s.hd, r.Dist2)
+		s.hidx = append(s.hidx, int32(len(s.res)-1))
+		s.siftUp(len(s.hd) - 1)
+	}
+	s.run()
 	if s.err == nil {
 		dst = s.emit(dst)
 	}
-	sc.nqueue, sc.dists, sc.bound, sc.kidx, sc.pairs, sc.pairs2, sc.results =
-		s.queue, s.dists, s.hd, s.hidx, s.pairs, s.pairs2, s.res
+	sc.roots, sc.nqueue, sc.dists, sc.bound, sc.kidx, sc.pairs, sc.pairs2, sc.results =
+		s.roots, s.queue, s.dists, s.hd, s.hidx, s.pairs, s.pairs2, s.res
 	sc.release()
 	if s.err != nil {
 		return dst[:base], s.err

@@ -277,3 +277,53 @@ func TestSearchTiesBreakByRID(t *testing.T) {
 		})
 	}
 }
+
+// SearchRootsCtxInto over trees A and B, with tombstones masking some of A's
+// points and tree C's answer as the seed, must return BruteForce's answer
+// over the live union, ties broken by RID — with the seed read from dst past
+// the caller's prefix, the aliasing the segment stack relies on.
+func TestSearchRootsSeedMatchesUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	var parts [3][]gist.Point
+	var live []gist.Point
+	tombs := map[int64]uint64{}
+	for i := 0; i < 2400; i++ {
+		v := make(geom.Vector, 3)
+		for d := range v {
+			v[d] = float64(rng.Intn(10))
+		}
+		p := gist.Point{Key: v, RID: int64(i)}
+		parts[i%3] = append(parts[i%3], p)
+		if i%3 == 0 && rng.Intn(4) == 0 {
+			tombs[p.RID] = 2 // masks tree A (gen 1), not tree B (gen 2)
+			continue
+		}
+		live = append(live, p)
+	}
+	a, b, c := buildTree(t, am.KindRTree, parts[0], 3), buildTree(t, am.KindXJB, parts[1], 3), buildTree(t, am.KindRTree, parts[2], 3)
+	roots := []Root{{Tree: a, Gen: 1}, {Tree: b, Gen: 2}}
+	for trial := 0; trial < 20; trial++ {
+		q := live[rng.Intn(len(live))].Key.Clone()
+		q[trial%3] += 0.5
+		for _, k := range []int{1, 13, 150, len(live) + 1} {
+			dst := append(make([]Result, 0, 2+k), Result{RID: -1}, Result{RID: -2})
+			dst, err := SearchCtxInto(nil, c, q, k, nil, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := SearchRootsCtxInto(nil, roots, tombs, dst[2:], q, k, nil, dst[:2])
+			if err != nil || got[0].RID != -1 || got[1].RID != -2 {
+				t.Fatalf("k=%d: err %v, prefix %+v", k, err, got[:min(len(got), 2)])
+			}
+			want := BruteForce(live, q, k)
+			if len(got)-2 != len(want) {
+				t.Fatalf("k=%d: %d results, want %d", k, len(got)-2, len(want))
+			}
+			for i, w := range want {
+				if g := got[2+i]; g.RID != w.RID || g.Dist2 != w.Dist2 {
+					t.Fatalf("k=%d: result %d = (%d, %v), want (%d, %v)", k, i, g.RID, g.Dist2, w.RID, w.Dist2)
+				}
+			}
+		}
+	}
+}

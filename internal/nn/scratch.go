@@ -13,7 +13,8 @@ import (
 // sync.Pool; a search borrows one for the duration of a single call, so
 // scratch never crosses goroutines.
 type searchScratch struct {
-	nqueue  npq // node frontier heap (knnSearch and SearchApproxCtxInto)
+	nqueue  npq    // node frontier heap (knnSearch and SearchApproxCtxInto)
+	roots   []Root // knnSearch's copy of its roots, so the caller's stay on its stack
 	stack   []page.PageID
 	dists   []float64
 	idx     []int32   // range-filter survivor indices (RangeFlatBlock)
@@ -29,11 +30,13 @@ var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 func getScratch() *searchScratch { return scratchPool.Get().(*searchScratch) }
 
 // release empties the buffers and returns the scratch to the pool. Result
-// entries are cleared first so a pooled scratch never holds key views of an
-// index the caller has dropped; the frontier heap and descent stack hold
-// only page ids and scalars.
+// entries and roots are cleared first so a pooled scratch never holds key
+// views or trees of an index the caller has dropped; the frontier heap and
+// descent stack hold only page ids and scalars.
 func (s *searchScratch) release() {
 	s.nqueue = s.nqueue[:0]
+	clear(s.roots)
+	s.roots = s.roots[:0]
 	s.stack = s.stack[:0]
 	s.dists = s.dists[:0]
 	s.idx = s.idx[:0]

@@ -175,7 +175,7 @@ func TestSidecarChecksum(t *testing.T) {
 	if _, err := s.Feature(s.rids[0], nil); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("Feature over corrupt page = %v, want ErrChecksum", err)
 	}
-	// The frame the failed load decoded into went back to the free list, not
+	// The frame the failed load read into went back to the free list, not
 	// into the pool.
 	if st := s.PoolStats(); st.Resident != 0 || s.free == nil {
 		t.Fatalf("failed load left %d resident frames, free list empty = %v", st.Resident, s.free == nil)

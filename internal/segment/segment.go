@@ -9,10 +9,10 @@
 // engines in internal/nn run over either unchanged.
 //
 // A Stack is an ordered set of live segments (oldest first) plus the RID
-// tombstones that mask deletes against sealed segments. Queries fan the
-// filter stage over every segment and merge per-segment results by the
-// (Dist2, RID) total order — the same slot-ordered discipline
-// BatchSearchKNN uses — after masking tombstoned RIDs. A stack holding
+// tombstones that mask deletes against sealed segments. A k-NN query is one
+// search over all sealed segments (nn.SearchRootsCtxInto) whose answer seeds
+// a search of the active memory segment; a range query searches each segment.
+// Both mask tombstoned RIDs and order by (Dist2, RID). A stack holding
 // exactly one segment and no tombstones takes a fast path that delegates
 // straight to the single-tree engine: byte-identical, allocation-identical
 // to the pre-segmentation read path, which is what pins the golden search
@@ -215,6 +215,7 @@ func (f *File) Close() error {
 type Stack struct {
 	mu    sync.RWMutex
 	segs  []Segment // oldest first; a mutable Mem, if any, is last
+	roots []nn.Root // segs as the k-NN engine's roots, rebuilt by setSegs
 	tombs map[int64]uint64
 }
 
@@ -225,7 +226,17 @@ func NewStack(segs []Segment, tombs map[int64]uint64) *Stack {
 	if tombs == nil {
 		tombs = make(map[int64]uint64)
 	}
-	return &Stack{segs: segs, tombs: tombs}
+	s := &Stack{tombs: tombs}
+	s.setSegs(segs)
+	return s
+}
+
+// setSegs installs segs and their roots. Callers hold mu for writing.
+func (s *Stack) setSegs(segs []Segment) {
+	s.segs, s.roots = segs, make([]nn.Root, len(segs))
+	for i, seg := range segs {
+		s.roots[i] = nn.Root{Tree: seg.Tree(), Gen: seg.Gen()}
+	}
 }
 
 // resultLess is the (Dist2, RID) total order the merged results are sorted
@@ -256,26 +267,22 @@ func (s *Stack) SearchKNN(ctx context.Context, q geom.Vector, k int, dst []nn.Re
 	if len(s.segs) == 1 && len(s.tombs) == 0 {
 		return nn.SearchCtxInto(ctx, s.segs[0].Tree(), q, k, nil, dst)
 	}
-	base0 := len(dst)
-	// Over-fetch by the tombstone count: that is the most results masking
-	// can remove from any one segment, so each segment still contributes
-	// its full unmasked top-k to the merge.
-	fetch := k + len(s.tombs)
-	for _, seg := range s.segs {
-		base := len(dst)
-		var err error
-		dst, err = nn.SearchCtxInto(ctx, seg.Tree(), q, fetch, nil, dst)
-		if err != nil {
-			return dst[:base0], err
+	// The sealed segments are one search. The active Mem is searched apart,
+	// under its own read lock, with the sealed answer as its starting k-bound:
+	// Insert waits on that lock, and holding it for the whole stacked search
+	// made ingest-write's p50 ×1.85.
+	sealed, active := s.roots, s.roots[:0]
+	if n := len(s.segs); n > 0 {
+		if m, ok := s.segs[n-1].(*Mem); ok && !m.sealed.Load() {
+			sealed, active = s.roots[:n-1], s.roots[n-1:]
 		}
-		dst = s.maskLocked(dst, base, seg.Gen())
 	}
-	merged := dst[base0:]
-	slices.SortFunc(merged, resultLess)
-	if len(merged) > k {
-		dst = dst[:base0+k]
+	base := len(dst)
+	dst, err := nn.SearchRootsCtxInto(ctx, sealed, s.tombs, nil, q, k, nil, dst)
+	if err != nil || len(active) == 0 {
+		return dst, err
 	}
-	return dst, nil
+	return nn.SearchRootsCtxInto(ctx, active, nil, dst[base:], q, k, nil, dst[:base])
 }
 
 // SearchRange appends every unmasked point within radius2 (squared) across
@@ -417,7 +424,7 @@ func (s *Stack) SegmentStats() []Stats {
 func (s *Stack) Append(seg Segment) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.segs = append(s.segs, seg)
+	s.setSegs(append(s.segs, seg))
 }
 
 // Replace atomically swaps the segments identity-listed in drop for add
@@ -444,7 +451,7 @@ func (s *Stack) Replace(drop []Segment, add Segment, clearTombs bool) {
 	if !added && add != nil {
 		out = append(out, add)
 	}
-	s.segs = out
+	s.setSegs(out)
 	if clearTombs {
 		s.tombs = make(map[int64]uint64)
 	}
@@ -460,7 +467,7 @@ func (s *Stack) Close() error {
 			first = err
 		}
 	}
-	s.segs = nil
+	s.setSegs(nil)
 	return first
 }
 

@@ -293,7 +293,7 @@ func TestSearchRefineRange(t *testing.T) {
 // filter plus QF re-rank — allocates nothing once warm when the caller
 // reuses the destination slice: not when every sidecar page is a pool hit,
 // and not when every page is a miss (an 8-page pool emptied before each
-// search), where each load decodes into the frame an earlier eviction gave
+// search), where each load reads into the frame an earlier eviction gave
 // back. Under -race it still drives the steady-state loop (validating the
 // pooled scratch against the race detector) but skips the alloc count, which
 // is unreliable there: sync.Pool drops items randomly.

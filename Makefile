@@ -50,13 +50,15 @@ chaos:
 		-chaosout CHAOS_PR5.json
 
 # fuzzsmoke gives the pagefile openers' fuzzers (index file, refine sidecar),
-# the search response encoder's differential fuzzer and the router's strict
+# the mapped page reader's differential fuzzer (against os.File.ReadAt), the
+# search response encoder's differential fuzzer and the router's strict
 # response scanner a short budget each — enough to catch format-validation
 # and encoding regressions without slowing the gate. go test takes one fuzz
 # target per run.
 fuzzsmoke:
 	$(GO) test -fuzz=FuzzOpenPaged -fuzztime=10s -run=^$$ ./internal/pagefile
 	$(GO) test -fuzz=FuzzOpenSidecar -fuzztime=10s -run=^$$ ./internal/pagefile
+	$(GO) test -fuzz=FuzzMappedReadAt -fuzztime=10s -run=^$$ ./internal/pagefile
 	$(GO) test -fuzz=FuzzAppendSearchResponse -fuzztime=10s -run=^$$ ./internal/wire
 	$(GO) test -fuzz=FuzzScanSearchResponse -fuzztime=10s -run=^$$ ./internal/wire
 

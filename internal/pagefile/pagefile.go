@@ -227,6 +227,14 @@ func decodeNodePage(buf []byte, p int, h header, bpWords int, codec am.Predicate
 	return level, nil, nil, preds, children, nil
 }
 
+// MinPageSize returns the smallest page size whose node pages hold two of
+// ext's entries at dim dimensions, inner or leaf: the 8-byte page header
+// plus two entries. page.Capacity clamps an in-memory node's fan-out to 2
+// whatever the page size, so a tree built at a smaller size cannot be saved.
+func MinPageSize(ext gist.Extension, dim int) int {
+	return 8 + 2*page.EntrySize(max(ext.BPWords(dim), dim))
+}
+
 // Save writes the tree to path in format version 2. The tree's extension
 // must implement am.PredicateCodec (every access method in internal/am
 // does). Saving walks the tree through its node store, so an opened

@@ -332,9 +332,9 @@ func OpenSidecar(path string, poolPages int) (*SideStore, error) {
 }
 
 // OpenSidecarIO is OpenSidecar with an I/O shim for fault injection: when
-// wrap is non-nil, demand-paged record reads go through wrap(file). The
-// header and meta section are read from the real file, so a faulty shim
-// degrades lookups, not opening — mirroring OpenPagedIO.
+// wrap is non-nil, demand-paged record reads go through wrap(file), file
+// being the read-only mapping. The header and meta section are read from
+// the real file, so a faulty shim degrades lookups, not opening.
 func OpenSidecarIO(path string, poolPages int, wrap func(faultio.File) faultio.File) (*SideStore, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -345,8 +345,13 @@ func OpenSidecarIO(path string, poolPages int, wrap func(faultio.File) faultio.F
 		f.Close()
 		return nil, err
 	}
+	m, err := mapFile(f)
+	if err != nil {
+		return nil, err
+	}
+	s.f = m
 	if wrap != nil {
-		s.f = wrap(f)
+		s.f = wrap(m)
 	}
 	return s, nil
 }
@@ -426,7 +431,6 @@ func openSidecar(f *os.File, poolPages int) (*SideStore, error) {
 		return nil, fmt.Errorf("%w: sidecar meta", ErrChecksum)
 	}
 	s := &SideStore{
-		f:      f,
 		h:      h,
 		pool:   page.NewPinnedPool(poolPages),
 		mean:   make([]float64, h.fullDim),

@@ -70,10 +70,10 @@ func OpenPaged(path string, opts am.Options, poolPages int) (*gist.Tree, *Store,
 }
 
 // OpenPagedIO is OpenPaged with an I/O shim: when wrap is non-nil the
-// store's demand-paged node reads go through wrap(file) instead of the file
-// itself. The chaos experiment and the fault-tolerance tests pass a
-// faultio.Injector here; the header is still read from the real file, so a
-// faulty shim degrades queries, not opening.
+// store's demand-paged node reads go through wrap(file), file being the
+// read-only mapping pages are copied from. The chaos experiment and the
+// fault-tolerance tests pass a faultio.Injector here; the header is still
+// read from the real file, so a faulty shim degrades queries, not opening.
 func OpenPagedIO(path string, opts am.Options, poolPages int, wrap func(faultio.File) faultio.File) (*gist.Tree, *Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -92,9 +92,13 @@ func OpenPagedIO(path string, opts am.Options, poolPages int, wrap func(faultio.
 		f.Close()
 		return nil, nil, err
 	}
-	var file faultio.File = f
+	m, err := mapFile(f)
+	if err != nil {
+		return nil, nil, err
+	}
+	var file faultio.File = m
 	if wrap != nil {
-		file = wrap(f)
+		file = wrap(m)
 	}
 	s := &Store{
 		f:           file,
@@ -108,7 +112,7 @@ func OpenPagedIO(path string, opts am.Options, poolPages int, wrap func(faultio.
 	tree, err := gist.NewFromStore(ext, gist.Config{Dim: h.dim, PageSize: h.pageSize}, s,
 		page.PageID(h.rootPage), h.height, h.count)
 	if err != nil {
-		f.Close()
+		m.Close()
 		return nil, nil, err
 	}
 	return tree, s, nil

@@ -1,6 +1,7 @@
 package pagefile
 
 import (
+	"context"
 	"crypto/sha256"
 	"errors"
 	"math/rand"
@@ -12,6 +13,8 @@ import (
 	"blobindex/internal/am"
 	"blobindex/internal/geom"
 	"blobindex/internal/gist"
+	"blobindex/internal/nn"
+	"blobindex/internal/str"
 )
 
 // The headline acceptance check: a demand-paged index with a buffer pool at
@@ -219,4 +222,69 @@ func TestOpenPagedZeroCapacity(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// BenchmarkPagedMiss times the index pager's miss path: 200-NN searches
+// over a demand-paged XJB index of 48 000 5-d points in 8 KB pages, through
+// a pool of 32 frames — a small fraction of the file's pages, so most pins
+// miss and read their page. ns/miss is the wall time per real page read,
+// the search's own work included; misses/op is the pager's read count per
+// search, fixed by the query set and the pool, whatever reads the pages.
+func BenchmarkPagedMiss(b *testing.B) {
+	const n, dim, k, queries = 48000, 5, 200, 64
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]gist.Point, n)
+	for i := range pts {
+		v := make(geom.Vector, dim)
+		for d := range v {
+			v[d] = rng.Float64() * 100
+		}
+		pts[i] = gist.Point{Key: v, RID: int64(i)}
+	}
+	ext, err := am.New(am.KindXJB, am.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := gist.Config{Dim: dim, PageSize: 8192}
+	probe, err := gist.New(ext, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	str.Order(pts, probe.LeafCapacity())
+	tree, err := gist.BulkLoad(ext, cfg, pts, 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "miss.idx")
+	if err := Save(path, tree); err != nil {
+		b.Fatal(err)
+	}
+	paged, store, err := OpenPaged(path, am.Options{}, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	qs := make([]geom.Vector, queries)
+	for i := range qs {
+		qs[i] = geom.Vector{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
+	}
+	ctx := context.Background()
+	dst := make([]nn.Result, 0, k)
+	for i := 0; i < 8; i++ {
+		if dst, err = nn.SearchCtxInto(ctx, paged, qs[i], k, nil, dst[:0]); err != nil {
+			b.Fatal(err) // pools and scratch warm
+		}
+	}
+	store.ResetStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dst, err = nn.SearchCtxInto(ctx, paged, qs[i%queries], k, nil, dst[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	misses := store.PoolStats().Misses
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(misses), "ns/miss")
+	b.ReportMetric(float64(misses)/float64(b.N), "misses/op")
 }

@@ -35,6 +35,7 @@ package segment
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -213,11 +214,15 @@ func (f *File) Close() error {
 // deleted RIDs in sealed segments. Any number of searches run concurrently
 // with each other; swaps and tombstone writes serialize against them.
 type Stack struct {
-	mu    sync.RWMutex
-	segs  []Segment // oldest first; a mutable Mem, if any, is last
-	roots []nn.Root // segs as the k-NN engine's roots, rebuilt by setSegs
-	tombs map[int64]uint64
+	mu     sync.RWMutex
+	segs   []Segment // oldest first; a mutable Mem, if any, is last
+	roots  []nn.Root // segs as the k-NN engine's roots, rebuilt by setSegs
+	tombs  map[int64]uint64
+	closed bool // set by Close: later searches fail with ErrClosed
 }
+
+// ErrClosed is returned by a search that finds the stack closed.
+var ErrClosed = errors.New("segment: stack closed")
 
 // NewStack builds a stack over segments (oldest first) with the given
 // tombstones (nil for none). The tombstone map is owned by the stack
@@ -264,6 +269,9 @@ func resultLess(a, b nn.Result) int {
 func (s *Stack) SearchKNN(ctx context.Context, q geom.Vector, k int, dst []nn.Result) ([]nn.Result, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if s.closed {
+		return dst, ErrClosed
+	}
 	if len(s.segs) == 1 && len(s.tombs) == 0 {
 		return nn.SearchCtxInto(ctx, s.segs[0].Tree(), q, k, nil, dst)
 	}
@@ -290,6 +298,9 @@ func (s *Stack) SearchKNN(ctx context.Context, q geom.Vector, k int, dst []nn.Re
 func (s *Stack) SearchRange(ctx context.Context, q geom.Vector, radius2 float64, dst []nn.Result) ([]nn.Result, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if s.closed {
+		return dst, ErrClosed
+	}
 	if len(s.segs) == 1 && len(s.tombs) == 0 {
 		return nn.RangeCtxInto(ctx, s.segs[0].Tree(), q, radius2, nil, dst)
 	}
@@ -468,6 +479,7 @@ func (s *Stack) Close() error {
 		}
 	}
 	s.setSegs(nil)
+	s.closed = true
 	return first
 }
 

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -100,6 +101,23 @@ func TestStackMergeMatchesSingleTree(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameResults(t, got, want, "range")
+	}
+}
+
+// A search that runs after Close fails: it does not answer from the
+// emptied stack as if the index held nothing.
+func TestStackSearchAfterClose(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	stack := NewStack([]Segment{WrapMem(buildTree(t, randomPoints(rng, 100, 2, 0), 2), 1)}, nil)
+	if err := stack.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, q := context.Background(), geom.Vector{1, 1}
+	if _, err := stack.SearchKNN(ctx, q, 5, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("k-NN after Close: %v, want ErrClosed", err)
+	}
+	if _, err := stack.SearchRange(ctx, q, 1e6, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("range after Close: %v, want ErrClosed", err)
 	}
 }
 

@@ -243,6 +243,12 @@ func CreateOnline(dir string, opts Options, oo OnlineOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every seal writes a pagefile, so the page must hold the encoder's
+	// minimum node even where an in-memory Build would clamp to it.
+	if least := pagefile.MinPageSize(ext, opts.Dim); opts.PageSize < least {
+		return nil, fmt.Errorf("%w: %s pages of %d bytes cannot hold two %d-d entries; the smallest page size that can is %d",
+			ErrInvalidOptions, opts.Method, opts.PageSize, opts.Dim, least)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}

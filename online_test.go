@@ -757,3 +757,55 @@ func TestOnlineTightenDuringSeal(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// CreateOnline refuses a page size its seals could not write. An in-memory
+// tree clamps a node's fan-out to 2 whatever the page holds, but every seal
+// writes a pagefile, whose node page is an 8-byte header plus the entries:
+// XJB's 3-d inner entries overflow it at 256 and 512 bytes, JB's at 256.
+// Every accepted configuration seals and compacts 300 points.
+func TestCreateOnlineRejectsPagesSealsCannotWrite(t *testing.T) {
+	cases := []struct {
+		method   Method
+		pageSize int
+		ok       bool
+	}{
+		{XJB, 256, false},
+		{XJB, 512, false},
+		{JB, 256, false},
+		{JB, 512, true}, // clamped by page.Capacity, but 8 + 2·248 ≤ 512 encodes
+		{RTree, 256, true},
+		{RTree, 512, true},
+		{RTree, 1024, true},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s/%d", c.method, c.pageSize), func(t *testing.T) {
+			ix, err := CreateOnline(t.TempDir(), Options{Method: c.method, Dim: 3, PageSize: c.pageSize}, OnlineOptions{})
+			if !c.ok {
+				if !errors.Is(err, ErrInvalidOptions) {
+					t.Fatalf("CreateOnline: %v, want ErrInvalidOptions", err)
+				}
+				t.Log(err)
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			rng := rand.New(rand.NewSource(1))
+			for rid := int64(0); rid < 300; rid++ {
+				if err := ix.Insert(Point{Key: randKey(rng, 3), RID: rid}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ix.SealActive(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.CompactPending(); err != nil {
+				t.Fatal(err)
+			}
+			if n := ix.Len(); n != 300 {
+				t.Fatalf("%d points after compaction, want 300", n)
+			}
+		})
+	}
+}

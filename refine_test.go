@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -212,5 +213,104 @@ func TestRefineConcurrentRecycling(t *testing.T) {
 	}
 	if st, _ := ix.RefineStats(); st.Retries == 0 || st.Resident > st.Capacity {
 		t.Fatalf("faulty run left the store at %+v", st)
+	}
+}
+
+// TestRefineSearchesRaceClose closes an index — a paged file index with an
+// attached sidecar, both read through read-only mappings — while 8
+// goroutines run refined searches over small pools, under the race detector
+// when it is on. Every search must return either the answer of the
+// single-threaded fault-free run, bit for bit, or an error: a read racing
+// Close either finishes on a live mapping or fails, and none reads one
+// after it is unmapped.
+func TestRefineSearchesRaceClose(t *testing.T) {
+	const (
+		n       = 3000
+		workers = 8
+		pool    = 8
+	)
+	mem, feats, side := refineFixturePool(t, n, 32, 4, pool)
+	path := filepath.Join(t.TempDir(), "blobs.idx")
+	if err := mem.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(17))
+	reqs := make([]SearchRequest, 24)
+	for i := range reqs {
+		q := make([]float64, len(feats[0]))
+		for d, v := range feats[rng.Intn(n)] {
+			q[d] = v + 0.02*rng.NormFloat64()
+		}
+		reqs[i] = SearchRequest{Query: q, K: 20, Refine: true, Multiplier: 8}
+	}
+	want := make([][]Neighbor, len(reqs))
+	for i, req := range reqs {
+		resp, err := mem.Search(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = resp.Neighbors
+	}
+
+	for round := 0; round < 4; round++ {
+		ix, err := OpenWithOptions(path, OpenOptions{PoolPages: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.AttachRefine(side, pool); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		served, failed, closedReads := 0, 0, 0
+		started := make(chan struct{}, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				ok, bad, closed := 0, 0, 0
+				for j := 0; j < 3*len(reqs); j++ {
+					if j == 1 {
+						started <- struct{}{}
+					}
+					i := (j + w*5) % len(reqs)
+					resp, err := ix.Search(ctx, reqs[i])
+					if err != nil {
+						bad++
+						if errors.Is(err, os.ErrClosed) {
+							closed++
+						}
+						continue
+					}
+					ok++
+					if len(resp.Neighbors) != len(want[i]) {
+						t.Errorf("round %d worker %d request %d: %d neighbors, want %d", round, w, i, len(resp.Neighbors), len(want[i]))
+						return
+					}
+					for r, nb := range resp.Neighbors {
+						if nb.RID != want[i][r].RID || math.Float64bits(nb.Dist2) != math.Float64bits(want[i][r].Dist2) {
+							t.Errorf("round %d worker %d request %d rank %d: (rid %d, dist2 %v), want (rid %d, dist2 %v)",
+								round, w, i, r, nb.RID, nb.Dist2, want[i][r].RID, want[i][r].Dist2)
+							return
+						}
+					}
+				}
+				mu.Lock()
+				served, failed, closedReads = served+ok, failed+bad, closedReads+closed
+				mu.Unlock()
+			}(w)
+		}
+		for w := 0; w < workers; w++ {
+			<-started
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		t.Logf("round %d: %d searches served, %d failed after Close (%d on a closed file)", round, served, failed, closedReads)
+		if served == 0 || failed == 0 {
+			t.Fatalf("round %d: Close must land mid-traffic: %d served, %d failed", round, served, failed)
+		}
 	}
 }

@@ -521,8 +521,8 @@ func BenchmarkBatchSearchKNN(b *testing.B) {
 // 218-d re-rank reading its features through a sidecar pool of ~8.5 % of
 // the data pages, the workload's ratio (1 024 frames over ~12 k pages), so
 // most pages are misses. Queries are distinct perturbed corpus features. It reports the
-// sidecar pages pinned and missed per search; the steady state allocates
-// nothing.
+// sidecar pages pinned and missed and the features scored per search; the
+// steady state allocates nothing.
 func BenchmarkSearchRefine(b *testing.B) {
 	const images, k, queries = 8000, 200, 256
 	c, err := GenerateCorpus(CorpusConfig{Images: images, Seed: 1})
@@ -583,14 +583,17 @@ func BenchmarkSearchRefine(b *testing.B) {
 		search(i) // pools, scratch and the refine pool's frames warm
 	}
 	before, _ := ix.RefineStats()
-	var pages int
+	var pages, scored int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pages += search(i).Refine.Pages
+		resp := search(i)
+		pages += resp.Refine.Pages
+		scored += resp.Refine.Scored
 	}
 	b.StopTimer()
 	after, _ := ix.RefineStats()
 	b.ReportMetric(float64(pages)/float64(b.N), "side_pages/op")
 	b.ReportMetric(float64(after.Misses-before.Misses)/float64(b.N), "side_misses/op")
+	b.ReportMetric(float64(scored)/float64(b.N), "scored/op")
 }

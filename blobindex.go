@@ -36,6 +36,7 @@ import (
 	"math/rand"
 
 	"blobindex/internal/am"
+	"blobindex/internal/blobworld"
 	"blobindex/internal/geom"
 	"blobindex/internal/gist"
 	"blobindex/internal/nn"
@@ -222,6 +223,9 @@ type Index struct {
 	// side is non-nil once AttachRefine has opened a full-feature sidecar;
 	// it serves the refine stage of Search.
 	side *pagefile.SideStore
+	// qfb is the reduced-space lower bound of the refine distance for the
+	// sidecar's projection, built by AttachRefine.
+	qfb *blobworld.QFBound
 	// wr is the write side (online.go): the active segment and, for a
 	// durable index, the write-ahead log and its maintenance.
 	wr *writer

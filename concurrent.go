@@ -55,8 +55,8 @@ func (ix *Index) BatchSearchKNN(ctx context.Context, queries [][]float64, k int,
 				ErrDimMismatch, i, len(q), ix.opts.Dim)
 		}
 	}
-	if ix.stack.Len() == 0 {
-		return nil, ErrEmptyIndex
+	if err := ix.checkLive(); err != nil {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()

@@ -19,6 +19,11 @@ var (
 	// empty result set instead.
 	ErrEmptyIndex = errors.New("blobindex: index holds no points")
 
+	// ErrClosed reports a search, write or maintenance call on an index
+	// after Close — including a search that Close overtook mid-traversal.
+	// Serving layers answer it as unavailable (503), never as not found.
+	ErrClosed = errors.New("blobindex: index closed")
+
 	// ErrInvalidOptions reports malformed Options. Returned by New, Build
 	// and Options.Validate.
 	ErrInvalidOptions = errors.New("blobindex: invalid options")

@@ -478,6 +478,14 @@ func (s *SideStore) Project(full []float64, dst []float64) []float64 {
 	return project(s.mean, s.comp, full, dst)
 }
 
+// Projection returns the stored reduction as read-only views: the mean
+// (fullDim coordinates) and the row-major indexDim×fullDim components.
+func (s *SideStore) Projection() (mean, comp []float64) { return s.mean, s.comp }
+
+// RecordsPerPage returns how many records a data page holds: slot s lives
+// on data page s / RecordsPerPage().
+func (s *SideStore) RecordsPerPage() int { return s.h.perPage }
+
 // Slot returns where rid's record lives in the file's clustered order; ok is
 // false for a RID the store does not hold. Slots of records close in index
 // space are close, and slots that differ by less than a page's worth of

@@ -399,6 +399,14 @@ func (s *Stack) Len() int {
 	return n - len(s.tombs)
 }
 
+// Closed reports whether Close has run. It is sticky: a Len of 0 followed by
+// Closed() == true means the stack was emptied by Close.
+func (s *Stack) Closed() bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.closed
+}
+
 // Segments returns a snapshot of the live segments, oldest first. The
 // segments themselves may be swapped out after the call; holders must not
 // close them.

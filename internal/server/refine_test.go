@@ -155,6 +155,11 @@ func TestServeRefineEndToEnd(t *testing.T) {
 	if filter.Candidates < refine.Candidates {
 		t.Errorf("filter candidates %d < refine candidates %d", filter.Candidates, refine.Candidates)
 	}
+	// The lower bound may leave candidates unread, never more than all of
+	// them and never fewer than the K answers of both k-NN searches.
+	if refine.Scored < 2*5 || refine.Scored > refine.Candidates {
+		t.Errorf("refine scored %d of %d candidates, want between 10 and all", refine.Scored, refine.Candidates)
+	}
 	if st.RefineBuffer == nil {
 		t.Fatal("stats missing refine_buffer despite attached sidecar")
 	}
@@ -206,5 +211,34 @@ func TestServeRefineValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400 (body %s)", tc.name, resp.StatusCode, body)
 		}
+	}
+}
+
+// A search of a closed index is unavailable here (503 with Retry-After: a
+// restart or another replica can serve it), not a missing index (404).
+func TestServeClosedIndexUnavailable(t *testing.T) {
+	idx, feats := buildRefineIndex(t, 300, 12, 4)
+	srv, err := New(Config{Index: idx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if err := idx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []wire.KNNRequest{
+		{Query: []float64{0.1, 0.2, 0.3, 0.4}, K: 5},
+		{Query: feats[3], K: 5, Refine: true},
+	} {
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/knn", req)
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Errorf("knn (refine %v) on a closed index: status %d, Retry-After %q, body %s",
+				req.Refine, resp.StatusCode, resp.Header.Get("Retry-After"), body)
+		}
+	}
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/range", wire.RangeRequest{Query: []float64{0.1, 0.2, 0.3, 0.4}, Radius: 1})
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("range on a closed index: status %d, body %s", resp.StatusCode, body)
 	}
 }

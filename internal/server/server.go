@@ -143,6 +143,7 @@ type Server struct {
 	filterCandidates atomic.Int64
 	refineCandidates atomic.Int64
 	refinePages      atomic.Int64
+	refineScored     atomic.Int64
 
 	adm     *admission
 	cache   *resultCache
@@ -306,6 +307,10 @@ func searchStatus(err error) int {
 		// The deployment has no full-feature sidecar; refine is not served
 		// here, and retrying the same replica cannot help.
 		return http.StatusNotImplemented
+	case errors.Is(err, blobindex.ErrClosed):
+		// The index was closed under the request (shutdown, or a swap in
+		// progress): this replica cannot serve it now, another may.
+		return http.StatusServiceUnavailable
 	case errors.Is(err, blobindex.ErrEmptyIndex):
 		return http.StatusNotFound
 	case errors.Is(err, blobindex.ErrStorageTransient):
@@ -348,6 +353,7 @@ func (s *Server) recordStages(resp blobindex.SearchResponse) {
 		s.refineHist.observe(resp.Refine.Duration, false)
 		s.refineCandidates.Add(int64(resp.Refine.Candidates))
 		s.refinePages.Add(int64(resp.Refine.Pages))
+		s.refineScored.Add(int64(resp.Refine.Scored))
 	}
 }
 
@@ -699,11 +705,14 @@ type SegmentsStats struct {
 // in index space); Refine covers only refined searches (full-distance
 // re-ranking), and also counts the distinct sidecar pages those searches
 // pinned: Pages ÷ Searches is a refined query's page set, Pages ÷ Candidates
-// how well the sidecar's layout clusters it.
+// how well the sidecar's layout clusters it. Refine's Scored counts the full
+// features read and scored; Candidates − Scored were excluded unread by the
+// quadratic-form lower bound (refined k-NN only).
 type StageInfo struct {
 	Searches   int64          `json:"searches"`
 	Candidates int64          `json:"candidates"`
 	Pages      int64          `json:"pages,omitempty"`
+	Scored     int64          `json:"scored,omitempty"`
 	Latency    LatencySummary `json:"latency"`
 }
 
@@ -803,7 +812,8 @@ func (s *Server) Stats() Stats {
 	refine := s.refineHist.summary()
 	st.Stages = map[string]StageInfo{
 		"filter": {Searches: filter.Count, Candidates: s.filterCandidates.Load(), Latency: filter},
-		"refine": {Searches: refine.Count, Candidates: s.refineCandidates.Load(), Pages: s.refinePages.Load(), Latency: refine},
+		"refine": {Searches: refine.Count, Candidates: s.refineCandidates.Load(), Pages: s.refinePages.Load(),
+			Scored: s.refineScored.Load(), Latency: refine},
 	}
 	if rs, ok := s.idx.RefineStats(); ok {
 		st.RefineBuffer = bufferInfo(rs)

@@ -20,7 +20,6 @@ package blobindex
 // crash-window analysis.
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,9 +34,6 @@ import (
 	"blobindex/internal/segment"
 	"blobindex/internal/wal"
 )
-
-// errClosed reports a write or maintenance call after Close.
-var errClosed = errors.New("blobindex: index closed")
 
 // poolOrDefault resolves a buffer pool budget, 0 meaning DefaultPoolPages.
 func poolOrDefault(n int) int {
@@ -104,7 +100,7 @@ func (w *writer) lock() error {
 	w.wmu.Lock()
 	if w.closed {
 		w.wmu.Unlock()
-		return errClosed
+		return ErrClosed
 	}
 	return nil
 }

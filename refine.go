@@ -3,6 +3,7 @@ package blobindex
 import (
 	"fmt"
 
+	"blobindex/internal/blobworld"
 	"blobindex/internal/pagefile"
 )
 
@@ -28,6 +29,13 @@ func SaveSidecar(path string, pageSize int, r *Reducer, rids []int64, features [
 // DefaultPoolPages). The sidecar must project to the index's dimensionality;
 // a mismatch returns ErrDimMismatch. Close releases the attached store along
 // with the index.
+//
+// Precondition: every index key is the sidecar's projection of its RID's
+// feature, computed as SaveSidecar's Reducer and SideStore.Project compute
+// it (Reducer.Reduce and ReduceAll do). A refined k-NN search relies on it:
+// it skips the sidecar pages whose candidates the quadratic-form lower bound
+// from their keys proves outside the top K (DESIGN.md §11), so a key that
+// is not its feature's projection can prune a true answer.
 func (ix *Index) AttachRefine(path string, poolPages int) error {
 	if ix.side != nil {
 		return fmt.Errorf("%w: refine store already attached", ErrInvalidOptions)
@@ -45,6 +53,7 @@ func (ix *Index) AttachRefine(path string, poolPages int) error {
 			ErrDimMismatch, s.IndexDim(), ix.opts.Dim)
 	}
 	ix.side = s
+	ix.qfb = blobworld.NewQFBound(s.Projection())
 	return nil
 }
 

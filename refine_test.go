@@ -20,7 +20,8 @@ import (
 // 2400 candidates, and in STR order those share pages — with four 218-d
 // records to an 8 KB page the floor is 0.25 distinct pages per candidate,
 // and RID order (sidecar format v1) measured 0.93. Each of those pages is
-// pinned exactly once.
+// pinned exactly once. The quadratic-form lower bound then leaves most of
+// them unread: a query may read at most 300 pages (676 before the bound).
 func TestRefineSidecarClustersCandidates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a 48k-blob corpus and a 98 MB sidecar")
@@ -83,6 +84,9 @@ func TestRefineSidecarClustersCandidates(t *testing.T) {
 	t.Logf("%.3f distinct sidecar pages per candidate (%d pages per query)", ratio, pages/16)
 	if ratio > 0.5 {
 		t.Fatalf("%.3f distinct sidecar pages per candidate, want at most 0.5", ratio)
+	}
+	if pages > 16*300 {
+		t.Fatalf("%d sidecar pages per refined query, want at most 300", pages/16)
 	}
 }
 

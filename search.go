@@ -1,9 +1,12 @@
 package blobindex
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"os"
 	"slices"
 	"sync"
 	"time"
@@ -12,6 +15,7 @@ import (
 	"blobindex/internal/geom"
 	"blobindex/internal/nn"
 	"blobindex/internal/pagefile"
+	"blobindex/internal/segment"
 )
 
 // SearchRequest is the one request shape behind every facade search: plain
@@ -144,8 +148,14 @@ func (r SearchRequest) Validate() error {
 // StageStats describes one pipeline stage of a served search.
 type StageStats struct {
 	// Candidates is the number of candidates the stage handled: results the
-	// filter stage produced, full features the refine stage scored.
+	// filter stage produced, candidates the refine stage ranked.
 	Candidates int
+	// Scored is the number of full features the refine stage read and
+	// scored: all Candidates on a range request; on a k-NN request
+	// Candidates − Scored candidates were excluded unread, their sidecar
+	// pages proven by the quadratic-form lower bound to hold no top-K
+	// answer. Zero on the filter stage.
+	Scored int
 	// Duration is the stage's wall-clock time.
 	Duration time.Duration
 	// Pages is the number of distinct sidecar pages the refine stage pinned
@@ -179,12 +189,24 @@ type SearchResponse struct {
 }
 
 // refineScratch is the pooled per-search scratch of the refine path: the
-// projected query and the candidates' sidecar visiting order, reused so a
-// steady-state refined search allocates nothing.
+// projected query, the candidates' sidecar visiting order and the k-NN
+// re-rank's page queue and results, reused so a steady-state refined search
+// allocates nothing.
 type refineScratch struct {
-	proj  []float64
-	order []uint64 // per candidate: sidecar slot<<32 | position in the filter results
-	slots []uint32 // order's slots, ascending
+	proj   []float64
+	order  []uint64     // per candidate: sidecar slot<<32 | position in the filter results
+	slots  []uint32     // order's slots, ascending
+	pages  []refinePage // k-NN: the candidates' sidecar pages, best bound first
+	scored []nn.Result  // k-NN: the candidates scored so far
+	kth    []float64    // k-NN: max-heap of the K smallest scored distances
+}
+
+// refinePage is one sidecar page of a refined k-NN search's candidates:
+// slots[first:end] live on it, and key is the smallest lower bound of their
+// quadratic-form distances.
+type refinePage struct {
+	key        float64
+	first, end int32
 }
 
 var refineScratchPool = sync.Pool{New: func() any { return new(refineScratch) }}
@@ -192,7 +214,8 @@ var refineScratchPool = sync.Pool{New: func() any { return new(refineScratch) }}
 // Search answers one SearchRequest. It is the single pipeline every facade
 // search funnels through: the request is validated (ErrInvalidSearchRequest,
 // ErrInvalidRecallTarget), the query's dimensionality is checked before any
-// traversal (ErrDimMismatch), an empty index returns ErrEmptyIndex, and ctx
+// traversal (ErrDimMismatch), a closed index returns ErrClosed (also when
+// Close overtakes the search), an empty index returns ErrEmptyIndex, and ctx
 // cancels mid-traversal. A refining request against an index with no side
 // store returns ErrNoRefineStore. Safe for any number of concurrent callers
 // alongside a single writer.
@@ -237,8 +260,8 @@ func (ix *Index) SearchInto(ctx context.Context, req SearchRequest, dst []Neighb
 		return resp, fmt.Errorf("%w: query dimension %d, index dimension %d",
 			ErrDimMismatch, len(query), ix.opts.Dim)
 	}
-	if ix.stack.Len() == 0 {
-		return resp, ErrEmptyIndex
+	if err := ix.checkLive(); err != nil {
+		return resp, err
 	}
 
 	// Filter stage: candidate generation in index space. A refining k-NN
@@ -277,22 +300,22 @@ func (ix *Index) SearchInto(ctx context.Context, req SearchRequest, dst []Neighb
 	*buf = res
 	resp.Filter = StageStats{Candidates: len(res), Duration: time.Since(start)}
 	if err != nil {
-		return resp, err
+		return resp, closedErr(err)
 	}
 
-	// Refine stage: score every candidate with the exact quadratic-form
-	// distance over its stored full feature, re-rank, and keep the top K.
-	// Range requests keep their index-space membership but report exact
-	// distances in exact order.
+	// Refine stage: rank the candidates by the exact quadratic-form distance
+	// over their stored full features and keep the top K. Range requests
+	// keep their index-space membership but report exact distances in exact
+	// order.
 	if req.Refine {
 		start = time.Now()
-		scored := len(res)
-		// Score in sidecar order: records are laid out clustered by index-
+		// Visit in sidecar order: records are laid out clustered by index-
 		// space position, so sorted by slot the candidates fall into runs on
 		// shared pages and each page is pinned once. Scoring happens inside
 		// the visit, on a view of the resident page — no feature is copied.
 		// Harmless to the response: the full-space selection below re-ranks
-		// from scratch and its (Dist2, RID) key is a total order.
+		// from scratch and its (Dist2, RID) key is a total order. Every
+		// candidate's slot is looked up before any page is read.
 		sc.order = sc.order[:0]
 		for i := range res {
 			slot, ok := ix.side.Slot(res[i].RID)
@@ -306,21 +329,143 @@ func (ix *Index) SearchInto(ctx context.Context, req SearchRequest, dst []Neighb
 		for _, o := range sc.order {
 			sc.slots = append(sc.slots, uint32(o>>32))
 		}
-		pages, err := ix.side.Visit(sc.slots, func(i int, feat []float64) {
-			res[uint32(sc.order[i])].Dist2 = blobworld.QFDist2(req.Query, feat)
-		})
-		if err != nil {
-			return resp, fmt.Errorf("refine: %w", err)
+		candidates := len(res)
+		var pages int
+		if req.K > 0 {
+			res, pages, err = ix.refineKNN(req.Query, res, req.K, sc)
+		} else {
+			pages, err = ix.side.Visit(sc.slots, func(i int, feat []float64) {
+				res[uint32(sc.order[i])].Dist2 = blobworld.QFDist2(req.Query, feat)
+			})
 		}
+		if err != nil {
+			return resp, closedErr(fmt.Errorf("refine: %w", err))
+		}
+		scored := len(res)
 		// Keep the K best in (Dist2, RID) order; a range request keeps all.
 		keep := len(res)
 		if req.K > 0 {
 			keep = req.K
 		}
 		res = nn.TopK(res, keep)
-		resp.Refine = StageStats{Candidates: scored, Duration: time.Since(start), Pages: pages}
+		resp.Refine = StageStats{Candidates: candidates, Scored: scored, Duration: time.Since(start), Pages: pages}
 		resp.Refined = true
 	}
 	resp.Neighbors = appendNeighbors(dst, res)
 	return resp, nil
+}
+
+// refineKNN scores a refined k-NN search's candidates (res, with sc.order
+// and sc.slots their ascending sidecar slots) and returns the ones it
+// scored, whose K best in (Dist2, RID) order are exactly the K best of
+// scoring every candidate.
+//
+// It reads only the sidecar pages that can still hold one of them. A
+// candidate's lower bound is the reduced-space quadratic form uᵀMu of its
+// key's difference from the projected query (blobworld.QFBound); a page's
+// key is the smallest bound of its candidates. Pages are visited in
+// ascending key order, ties by slot, while kth tracks the K-th smallest
+// distance scored so far, and the visit stops at the first page whose key
+// is proven greater than it: every candidate left is then strictly farther
+// than K scored ones, so it cannot rank, nor tie, into the top K. Each page
+// is still pinned once. The proof needs every key to be its feature's
+// projection (AttachRefine's precondition).
+func (ix *Index) refineKNN(q []float64, res []nn.Result, k int, sc *refineScratch) ([]nn.Result, int, error) {
+	perPage := uint32(ix.side.RecordsPerPage())
+	sc.pages = sc.pages[:0]
+	for j := 0; j < len(sc.slots); {
+		first, page, key := j, sc.slots[j]/perPage, math.Inf(1)
+		for ; j < len(sc.slots) && sc.slots[j]/perPage == page; j++ {
+			b := ix.qfb.Dist2(sc.proj, res[uint32(sc.order[j])].Key)
+			if b < key || b != b { // a NaN bound proves nothing: the page keeps NaN
+				key = b
+			}
+		}
+		sc.pages = append(sc.pages, refinePage{key: key, first: int32(first), end: int32(j)})
+	}
+	slices.SortFunc(sc.pages, func(a, b refinePage) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.first, b.first))
+	})
+
+	offset := ix.qfb.Offset(q)
+	sc.scored, sc.kth = sc.scored[:0], sc.kth[:0]
+	pages := 0
+	for _, p := range sc.pages {
+		if len(sc.kth) == k && ix.qfb.Exceeds(p.key, sc.kth[0], offset) {
+			break
+		}
+		n, err := ix.side.Visit(sc.slots[p.first:p.end], func(i int, feat []float64) {
+			r := res[uint32(sc.order[int(p.first)+i])]
+			r.Dist2 = blobworld.QFDist2(q, feat)
+			sc.scored = append(sc.scored, r)
+			sc.offerKth(r.Dist2, k)
+		})
+		pages += n
+		if err != nil {
+			return nil, pages, err
+		}
+	}
+	return sc.scored, pages, nil
+}
+
+// offerKth adds d to kth, the max-heap of the k smallest distances scored so
+// far: once it holds k, kth[0] is the K-th smallest. A NaN is left out — it
+// ranks nowhere, so it must not set the threshold.
+func (sc *refineScratch) offerKth(d float64, k int) {
+	h := sc.kth
+	switch {
+	case d != d:
+		return
+	case len(h) < k:
+		h = append(h, d)
+		for i := len(h) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if h[parent] >= h[i] {
+				break
+			}
+			h[parent], h[i] = h[i], h[parent]
+			i = parent
+		}
+	case d < h[0]:
+		h[0] = d
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= len(h) {
+				break
+			}
+			if c+1 < len(h) && h[c+1] > h[c] {
+				c++
+			}
+			if h[i] >= h[c] {
+				break
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	sc.kth = h
+}
+
+// checkLive returns ErrClosed for a closed index and ErrEmptyIndex for one
+// holding no points. Close empties the stack and marks it closed under one
+// lock, and the mark is sticky, so an empty stack that then reports closed
+// was emptied by Close.
+func (ix *Index) checkLive() error {
+	if ix.stack.Len() > 0 {
+		return nil
+	}
+	if ix.stack.Closed() {
+		return ErrClosed
+	}
+	return ErrEmptyIndex
+}
+
+// closedErr marks a search error caused by a Close that overtook the search
+// — the segment stack or a store's mapping found closed — as ErrClosed,
+// keeping the cause in the chain.
+func closedErr(err error) error {
+	if errors.Is(err, segment.ErrClosed) || errors.Is(err, os.ErrClosed) {
+		return fmt.Errorf("%w: %w", ErrClosed, err)
+	}
+	return err
 }
